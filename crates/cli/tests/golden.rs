@@ -60,6 +60,32 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("coign_golden_{tag}_{}.cimg", std::process::id()))
 }
 
+/// A private `gen:42` image, profiled once over `g_main` — the recipe the
+/// serve goldens were generated with. Each test emits its own copy (the
+/// bytes `gen:42` materializes to), so no test depends on what else has
+/// profiled the shared `gen:` cache; the directory is removed on drop.
+struct Gen42(PathBuf);
+
+impl Gen42 {
+    fn profiled(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("coign_golden_{tag}_{}", std::process::id()));
+        let gen = Gen42(dir);
+        cmd_gen(42, GenSize::Small, Some(&gen.0), true).expect("gen:42 emits an image");
+        cmd_profile(&gen.image(), &["g_main"], 1).expect("gen:42 profiles g_main");
+        gen
+    }
+
+    fn image(&self) -> PathBuf {
+        self.0.join("gen-42-small.cimg")
+    }
+}
+
+impl Drop for Gen42 {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 #[test]
 fn check_json_output_matches_golden_file() {
     let report = cmd_check(&example_image(), true).expect("check passes on the example image");
@@ -260,9 +286,11 @@ fn serve_json_output_matches_golden_file() {
     // The serving-harness summary is fully simulated (no wall-clock
     // numbers), so its exact JSON shape is pinned. Regenerate with
     //
+    //   cargo run -p coign-cli --bin coign -- profile gen:42 g_main
     //   cargo run -p coign-cli --bin coign -- serve gen:42 g_main \
     //       --sessions 2000 --json > crates/cli/tests/golden/serve_gen42.json
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let gen = Gen42::profiled("serve_json");
+    let img = gen.image();
     let opts = ServeCliOptions {
         sessions: 2_000,
         json: true,
@@ -285,9 +313,11 @@ fn serve_timeline_json_matches_golden_file() {
     // The timeline is pure simulated time (windows, busy-µs, per-window
     // quantiles), so its bytes are pinned too. Regenerate with
     //
+    //   cargo run -p coign-cli --bin coign -- profile gen:42 g_main
     //   cargo run -p coign-cli --bin coign -- serve gen:42 g_main --sessions 2000 \
     //       --timeline crates/cli/tests/golden/serve_gen42_timeline.json
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let gen = Gen42::profiled("serve_timeline");
+    let img = gen.image();
     let sink =
         std::env::temp_dir().join(format!("coign_golden_timeline_{}.json", std::process::id()));
     let opts = ServeCliOptions {
@@ -315,7 +345,8 @@ fn serve_timeline_json_matches_golden_file() {
 fn serve_timeline_is_byte_identical_across_jobs() {
     // Per-shard series merge in shard order, so the exported timeline —
     // like the summary — must not depend on the worker-thread count.
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let gen = Gen42::profiled("serve_timeline_jobs");
+    let img = gen.image();
     let render = |jobs: usize| {
         let sink = std::env::temp_dir().join(format!(
             "coign_golden_timeline_j{jobs}_{}.csv",
@@ -348,7 +379,8 @@ fn serve_timeline_is_byte_identical_across_jobs() {
 fn serve_summary_is_byte_identical_across_jobs() {
     // `--jobs` picks the worker-thread count, never the schedule: the
     // rendered summary must not change with it (mirrors chaos/explore).
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    let gen = Gen42::profiled("serve_summary_jobs");
+    let img = gen.image();
     let opts = |jobs| ServeCliOptions {
         sessions: 2_000,
         jobs,

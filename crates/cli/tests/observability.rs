@@ -20,10 +20,10 @@
 //! ```
 
 use coign_cli::{
-    cmd_analyze_observed, cmd_instrument, cmd_profile, cmd_profile_observed, cmd_run,
-    cmd_run_observed, cmd_serve_observed, cmd_sweep_observed, resolve_image_spec, RunFaults,
-    ServeCliOptions,
+    cmd_analyze_observed, cmd_gen, cmd_instrument, cmd_profile, cmd_profile_observed, cmd_run,
+    cmd_run_observed, cmd_serve_observed, cmd_sweep_observed, RunFaults, ServeCliOptions,
 };
+use coign_gen::GenSize;
 use coign_obs::{validate_chrome_trace, Obs};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -307,7 +307,13 @@ fn serve_session_trace_is_sampled_valid_and_jobs_independent() {
     // (session/call/batch_wait/link_transit plus batch spans tied by flow
     // ids), buffered per shard and merged in shard order — so the exported
     // trace must not depend on the worker-thread count.
-    let img = resolve_image_spec("gen:42").expect("gen:42 materializes");
+    //
+    // A private gen:42 image profiled over g_main, so the test does not
+    // depend on what else has profiled the shared `gen:` cache.
+    let dir = std::env::temp_dir().join(format!("coign_obs_serve_{}", std::process::id()));
+    cmd_gen(42, GenSize::Small, Some(&dir), true).expect("gen:42 emits an image");
+    let img = dir.join("gen-42-small.cimg");
+    cmd_profile(&img, &["g_main"], 1).expect("gen:42 profiles g_main");
     let render = |jobs: usize| {
         let obs = fresh_obs();
         let opts = ServeCliOptions {
@@ -348,6 +354,7 @@ fn serve_session_trace_is_sampled_valid_and_jobs_independent() {
         ..ServeCliOptions::default()
     };
     cmd_serve_observed(&img, "g_main", "ethernet", &opts, Some(&obs)).expect("serve succeeds");
+    std::fs::remove_dir_all(&dir).ok();
     let summary = validate_chrome_trace(&obs.tracer.export_chrome_json())
         .expect("unsampled serve trace validates");
     assert!(

@@ -27,7 +27,7 @@
 //! classifications stable across executions.
 
 use coign_com::codec::{Decoder, Encoder};
-use coign_com::{Clsid, ComError, ComResult, ComRuntime, Frame, Iid, InstanceId};
+use coign_com::{Clsid, ComError, ComResult, ComRuntime, Frame, FxHashMap, Iid, InstanceId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -210,7 +210,7 @@ pub struct ClassifierStats {
 struct ClassifierState {
     interned: HashMap<Descriptor, ClassificationId>,
     descriptors: Vec<Descriptor>,
-    instance_class: HashMap<InstanceId, ClassificationId>,
+    instance_class: FxHashMap<InstanceId, ClassificationId>,
     /// Per-execution instantiation counter (incremental classifier).
     counter: u64,
     instances_seen: u64,
@@ -240,7 +240,7 @@ impl InstanceClassifier {
             state: Mutex::new(ClassifierState {
                 interned: HashMap::new(),
                 descriptors: Vec::new(),
-                instance_class: HashMap::new(),
+                instance_class: FxHashMap::default(),
                 counter: 0,
                 instances_seen: 0,
             }),
@@ -427,7 +427,7 @@ impl InstanceClassifier {
 
     /// Snapshot of the instance→classification binding of the current
     /// execution.
-    pub fn bindings(&self) -> HashMap<InstanceId, ClassificationId> {
+    pub fn bindings(&self) -> FxHashMap<InstanceId, ClassificationId> {
         self.state.lock().instance_class.clone()
     }
 
@@ -467,7 +467,7 @@ impl InstanceClassifier {
             state: Mutex::new(ClassifierState {
                 interned: st.interned.clone(),
                 descriptors: st.descriptors.clone(),
-                instance_class: HashMap::new(),
+                instance_class: FxHashMap::default(),
                 counter: 0,
                 instances_seen: 0,
             }),
@@ -527,7 +527,7 @@ impl InstanceClassifier {
             state: Mutex::new(ClassifierState {
                 interned,
                 descriptors,
-                instance_class: HashMap::new(),
+                instance_class: FxHashMap::default(),
                 counter: 0,
                 instances_seen: 0,
             }),

@@ -90,7 +90,7 @@ fn classify_caller(
     rt: &ComRuntime,
     classifier: &InstanceClassifier,
 ) -> (Option<coign_com::InstanceId>, ClassificationId) {
-    match rt.call_stack().last() {
+    match rt.top_frame() {
         Some(frame) => (
             Some(frame.instance),
             classifier
@@ -485,9 +485,8 @@ impl Invoker for DistributionInvoker {
 
         let caller_machine = rt.current_machine();
         let callee_machine = rt
-            .instance(call.owner)
-            .ok_or(ComError::DeadInstance(call.owner.0))?
-            .machine();
+            .machine_of(call.owner)
+            .ok_or(ComError::DeadInstance(call.owner.0))?;
 
         if caller_machine == callee_machine {
             let result = self.inner.call(rt, call.method, msg);
@@ -540,9 +539,8 @@ impl Invoker for DistributionInvoker {
             // its own machine died mid-call.
             let caller_machine = rt.current_machine();
             let callee_machine = rt
-                .instance(call.owner)
-                .ok_or(ComError::DeadInstance(call.owner.0))?
-                .machine();
+                .machine_of(call.owner)
+                .ok_or(ComError::DeadInstance(call.owner.0))?;
             if callee_machine == caller_machine {
                 // The callee migrated next to the caller mid-call.
                 if executed {

@@ -12,11 +12,10 @@
 
 use crate::classifier::ClassificationId;
 use crate::profile::IccProfile;
-use coign_com::{Clsid, Guid, Iid, InstanceId};
+use coign_com::{Clsid, FxHashMap, Guid, Iid, InstanceId};
 use coign_obs::json::Json;
 use coign_obs::TraceArg;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 
 /// One interface call as seen by the instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,8 +325,8 @@ pub struct PairTraffic {
 #[derive(Debug, Default)]
 pub struct ProfilingLogger {
     profile: Mutex<IccProfile>,
-    pairs: Mutex<HashMap<(InstanceId, InstanceId), PairTraffic>>,
-    instance_class: Mutex<HashMap<InstanceId, ClassificationId>>,
+    pairs: Mutex<FxHashMap<(InstanceId, InstanceId), PairTraffic>>,
+    instance_class: Mutex<FxHashMap<InstanceId, ClassificationId>>,
 }
 
 /// Sentinel instance id representing the application root in pair keys
@@ -361,12 +360,12 @@ impl ProfilingLogger {
     }
 
     /// Per-execution instance-pair traffic (order-normalized keys).
-    pub fn instance_pairs(&self) -> HashMap<(InstanceId, InstanceId), PairTraffic> {
+    pub fn instance_pairs(&self) -> FxHashMap<(InstanceId, InstanceId), PairTraffic> {
         self.pairs.lock().clone()
     }
 
     /// The classification observed for each instance this execution.
-    pub fn instance_classes(&self) -> HashMap<InstanceId, ClassificationId> {
+    pub fn instance_classes(&self) -> FxHashMap<InstanceId, ClassificationId> {
         self.instance_class.lock().clone()
     }
 

@@ -10,7 +10,7 @@
 
 use crate::classifier::ClassificationId;
 use coign_com::codec::{Decoder, Encoder};
-use coign_com::{Clsid, ComResult, Iid};
+use coign_com::{Clsid, ComResult, FxHashMap, Iid};
 use std::collections::{HashMap, HashSet};
 
 /// Smallest message-size bucket boundary, in bytes.
@@ -88,7 +88,7 @@ pub struct EdgeStats {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IccProfile {
     /// Summarized traffic.
-    pub edges: HashMap<EdgeKey, EdgeStats>,
+    pub edges: FxHashMap<EdgeKey, EdgeStats>,
     /// Instances observed per classification (across all merged runs).
     pub instances: HashMap<ClassificationId, u64>,
     /// Component class of each classification (for static API analysis).

@@ -28,8 +28,8 @@ use crate::profile::IccProfile;
 use crate::recovery::{RecoveryConfig, RecoveryCoordinator};
 use crate::rte::CoignRte;
 use coign_com::{
-    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, InstanceId, InterfacePtr,
-    MachineId, RtStats, RuntimeHook,
+    ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FxHashMap, InstanceId,
+    InterfacePtr, MachineId, RtStats, RuntimeHook,
 };
 use coign_dcom::{
     CallPolicy, FaultPlan, FaultStats, HealthMonitor, NetworkModel, NetworkProfile, Transport,
@@ -275,9 +275,9 @@ pub struct ProfileRun {
     /// The summarized communication profile of this run.
     pub profile: IccProfile,
     /// Per-instance-pair traffic (for communication vectors).
-    pub instance_pairs: HashMap<(InstanceId, InstanceId), PairTraffic>,
+    pub instance_pairs: FxHashMap<(InstanceId, InstanceId), PairTraffic>,
     /// Instance → classification binding of this run.
-    pub instance_classes: HashMap<InstanceId, ClassificationId>,
+    pub instance_classes: FxHashMap<InstanceId, ClassificationId>,
     /// Execution measurements.
     pub report: RunReport,
     /// COIGN045: declared-read-only methods whose instance state changed

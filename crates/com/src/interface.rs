@@ -96,6 +96,8 @@ struct IfaceNode {
 /// A COM-style interface pointer: the unit of inter-component communication.
 ///
 /// Cloning an `InterfacePtr` is reference-count duplication (`AddRef`).
+/// The component object behind it belongs to the runtime that created it,
+/// so a pointer does not keep the object alive past that runtime.
 #[derive(Clone)]
 pub struct InterfacePtr {
     node: Arc<IfaceNode>,

@@ -25,6 +25,7 @@
 pub mod clock;
 pub mod codec;
 pub mod error;
+pub mod fxhash;
 pub mod guid;
 pub mod idl;
 pub mod image;
@@ -36,6 +37,7 @@ pub mod value;
 
 pub use clock::{EventQueue, SimClock};
 pub use error::{ComError, ComResult};
+pub use fxhash::FxHashMap;
 pub use guid::{Clsid, Guid, Iid};
 pub use idl::{InterfaceDesc, MethodDesc, ParamDesc, ParamDir, StateEffect};
 pub use image::{AppImage, ConfigSection, DllImport, ImageBuilder};

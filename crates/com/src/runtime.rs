@@ -17,14 +17,14 @@
 
 use crate::clock::SimClock;
 use crate::error::{ComError, ComResult};
+use crate::fxhash::FxHashMap;
 use crate::guid::{Clsid, Iid};
 use crate::interface::{CallInfo, InterfacePtr, Invoker, Message};
 use crate::object::{CallCtx, ComObject, Instance, InstanceId, MachineId};
 use crate::registry::ClassRegistry;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// One entry of the interface-call back-trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,9 +75,6 @@ pub trait RuntimeHook: Send + Sync {
     fn wrap_interface(&self, _rt: &ComRuntime, ptr: InterfacePtr) -> InterfacePtr {
         ptr
     }
-
-    /// Notified on every direct (terminal) interface dispatch.
-    fn call_dispatched(&self, _rt: &ComRuntime, _call: &CallInfo<'_>) {}
 }
 
 /// A machine participating in the simulated topology.
@@ -116,16 +113,73 @@ pub struct RtStats {
     pub cross_machine_calls: u64,
 }
 
+/// [`RtStats`] as relaxed counters, so accounting takes no lock per call.
+/// Each counter is a statistic that publishes no other data.
+#[derive(Default)]
+struct StatCounters {
+    compute_us: AtomicU64,
+    comm_us: AtomicU64,
+    messages: AtomicU64,
+    bytes: AtomicU64,
+    calls: AtomicU64,
+    cross_machine_calls: AtomicU64,
+}
+
+impl StatCounters {
+    fn counters(&self) -> [&AtomicU64; 6] {
+        [
+            &self.compute_us,
+            &self.comm_us,
+            &self.messages,
+            &self.bytes,
+            &self.calls,
+            &self.cross_machine_calls,
+        ]
+    }
+
+    fn snapshot(&self) -> RtStats {
+        let [compute_us, comm_us, messages, bytes, calls, cross_machine_calls] =
+            self.counters().map(|c| c.load(Ordering::Relaxed));
+        RtStats {
+            compute_us,
+            comm_us,
+            messages,
+            bytes,
+            calls,
+            cross_machine_calls,
+        }
+    }
+
+    fn reset(&self) {
+        for counter in self.counters() {
+            counter.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The registered hooks: an immutable snapshot, replaced whole when the
+/// chain changes, so dispatch takes a reference count rather than a copy.
+type Hooks = Arc<[Arc<dyn RuntimeHook>]>;
+
 /// The component runtime (`CoCreateInstance`, interception, accounting).
+///
+/// The runtime owns every component object it creates. Interface pointers
+/// reach their object through a weak reference, so objects that hold
+/// pointers to each other (a parent and its child sites) form no reference
+/// cycle, and dropping the runtime frees them all.
 pub struct ComRuntime {
     registry: ClassRegistry,
     clock: SimClock,
     machines: Vec<MachineSpec>,
-    instances: RwLock<HashMap<InstanceId, Arc<Instance>>>,
+    instances: RwLock<FxHashMap<InstanceId, Arc<Instance>>>,
+    /// Released instances whose pointers may still be live: a pointer keeps
+    /// dispatching after [`ComRuntime::release_instance`], so its object
+    /// stays owned here until the runtime drops.
+    released: Mutex<Vec<Arc<Instance>>>,
     next_instance: AtomicU64,
-    hooks: RwLock<Vec<Arc<dyn RuntimeHook>>>,
+    hooks: RwLock<Hooks>,
     stack: Mutex<Vec<Frame>>,
-    stats: Mutex<RtStats>,
+    stats: StatCounters,
 }
 
 impl ComRuntime {
@@ -138,11 +192,12 @@ impl ComRuntime {
             registry: ClassRegistry::new(),
             clock: SimClock::new(),
             machines,
-            instances: RwLock::new(HashMap::new()),
+            instances: RwLock::new(FxHashMap::default()),
+            released: Mutex::new(Vec::new()),
             next_instance: AtomicU64::new(1),
-            hooks: RwLock::new(Vec::new()),
+            hooks: RwLock::new(Arc::new([])),
             stack: Mutex::new(Vec::new()),
-            stats: Mutex::new(RtStats::default()),
+            stats: StatCounters::default(),
         }
     }
 
@@ -177,15 +232,16 @@ impl ComRuntime {
 
     /// Registers an interception hook (appended to the chain).
     pub fn add_hook(&self, hook: Arc<dyn RuntimeHook>) {
-        self.hooks.write().push(hook);
+        let mut hooks = self.hooks.write();
+        *hooks = hooks.iter().cloned().chain([hook]).collect();
     }
 
     /// Removes all interception hooks.
     pub fn clear_hooks(&self) {
-        self.hooks.write().clear();
+        *self.hooks.write() = Arc::new([]);
     }
 
-    fn hooks_snapshot(&self) -> Vec<Arc<dyn RuntimeHook>> {
+    fn hooks_snapshot(&self) -> Hooks {
         self.hooks.read().clone()
     }
 
@@ -193,7 +249,7 @@ impl ComRuntime {
     /// (the `CoCreateInstance` entry point).
     pub fn create_instance(&self, clsid: Clsid, iid: Iid) -> ComResult<InterfacePtr> {
         let req = CreateRequest { clsid, iid };
-        for hook in self.hooks_snapshot() {
+        for hook in self.hooks_snapshot().iter() {
             if let Some(result) = hook.fulfill_create(self, &req) {
                 return result;
             }
@@ -226,7 +282,7 @@ impl ComRuntime {
         let object = (class.factory)(self, id);
         let instance = Instance::new(id, clsid, object, machine);
         self.instances.write().insert(id, instance);
-        for hook in self.hooks_snapshot() {
+        for hook in self.hooks_snapshot().iter() {
             hook.instance_created(self, id, clsid);
         }
         self.make_ptr(id, iid)
@@ -249,11 +305,11 @@ impl ComRuntime {
             id,
             instance.clsid,
             Arc::new(DirectInvoker {
-                object: instance.object.clone(),
+                object: Arc::downgrade(&instance.object),
             }),
         );
         let mut ptr = raw;
-        for hook in self.hooks_snapshot() {
+        for hook in self.hooks_snapshot().iter() {
             ptr = hook.wrap_interface(self, ptr);
         }
         Ok(ptr)
@@ -264,13 +320,15 @@ impl ComRuntime {
         self.make_ptr(ptr.owner(), iid)
     }
 
-    /// Releases an instance, removing it from the instance table.
+    /// Releases an instance, removing it from the instance table. Pointers
+    /// to it still dispatch until the runtime drops.
     pub fn release_instance(&self, id: InstanceId) -> ComResult<()> {
         let removed = self.instances.write().remove(&id);
-        if removed.is_none() {
+        let Some(removed) = removed else {
             return Err(ComError::DeadInstance(id.0));
-        }
-        for hook in self.hooks_snapshot() {
+        };
+        self.released.lock().push(removed);
+        for hook in self.hooks_snapshot().iter() {
             hook.instance_released(self, id);
         }
         Ok(())
@@ -293,21 +351,26 @@ impl ComRuntime {
         all
     }
 
+    /// The machine a live instance currently lives on.
+    pub fn machine_of(&self, id: InstanceId) -> Option<MachineId> {
+        self.instances.read().get(&id).map(|i| i.machine())
+    }
+
     /// The machine of the currently executing instance (client at top level).
     pub fn current_machine(&self) -> MachineId {
-        let stack = self.stack.lock();
-        match stack.last() {
-            Some(frame) => self
-                .instance(frame.instance)
-                .map(|i| i.machine())
-                .unwrap_or(MachineId::CLIENT),
-            None => MachineId::CLIENT,
-        }
+        self.top_frame()
+            .and_then(|frame| self.machine_of(frame.instance))
+            .unwrap_or(MachineId::CLIENT)
     }
 
     /// Snapshot of the interface-call back-trace (innermost frame last).
     pub fn call_stack(&self) -> Vec<Frame> {
         self.stack.lock().clone()
+    }
+
+    /// The innermost frame of the back-trace, if a call is executing.
+    pub fn top_frame(&self) -> Option<Frame> {
+        self.stack.lock().last().copied()
     }
 
     /// Depth of the current call stack.
@@ -326,10 +389,7 @@ impl ComRuntime {
     /// Charges `us` microseconds of compute on the instance's machine,
     /// scaled by that machine's CPU factor.
     pub fn charge_compute(&self, instance: InstanceId, us: u64) {
-        let machine = self
-            .instance(instance)
-            .map(|i| i.machine())
-            .unwrap_or(MachineId::CLIENT);
+        let machine = self.machine_of(instance).unwrap_or(MachineId::CLIENT);
         let scale = self
             .machines
             .get(machine.0 as usize)
@@ -337,44 +397,46 @@ impl ComRuntime {
             .unwrap_or(1.0);
         let scaled = (us as f64 / scale).round() as u64;
         self.clock.advance_us(scaled);
-        self.stats.lock().compute_us += scaled;
+        self.stats.compute_us.fetch_add(scaled, Ordering::Relaxed);
     }
 
     /// Records `us` microseconds of communication moving `bytes` bytes in
     /// `messages` messages (called by the transport layer).
     pub fn charge_comm(&self, us: u64, bytes: u64, messages: u64) {
         self.clock.advance_us(us);
-        let mut stats = self.stats.lock();
-        stats.comm_us += us;
-        stats.bytes += bytes;
-        stats.messages += messages;
-        stats.cross_machine_calls += 1;
+        let stats = &self.stats;
+        stats.comm_us.fetch_add(us, Ordering::Relaxed);
+        stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        stats.messages.fetch_add(messages, Ordering::Relaxed);
+        stats.cross_machine_calls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the run statistics.
     pub fn stats(&self) -> RtStats {
-        *self.stats.lock()
+        self.stats.snapshot()
     }
 
     /// Resets statistics and the clock (between scenario runs).
     pub fn reset_accounting(&self) {
-        *self.stats.lock() = RtStats::default();
+        self.stats.reset();
         self.clock.reset();
     }
 
     /// Releases every instance and clears the call stack; statistics and
     /// hooks are preserved.
     pub fn clear_instances(&self) {
-        self.instances.write().clear();
+        let live = std::mem::take(&mut *self.instances.write());
+        self.released.lock().extend(live.into_values());
         self.stack.lock().clear();
         self.next_instance.store(1, Ordering::Relaxed);
     }
 }
 
 /// Terminal invoker: dispatches into the component object, maintaining the
-/// call-frame stack around the dispatch.
+/// call-frame stack around the dispatch. The object is owned by the runtime
+/// (see [`ComRuntime`]); the invoker only refers to it.
 struct DirectInvoker {
-    object: Arc<dyn ComObject>,
+    object: Weak<dyn ComObject>,
 }
 
 /// Pops the frame on drop so a propagating error cannot corrupt the stack.
@@ -390,10 +452,12 @@ impl Drop for FrameGuard<'_> {
 
 impl Invoker for DirectInvoker {
     fn invoke(&self, rt: &ComRuntime, call: CallInfo<'_>, msg: &mut Message) -> ComResult<()> {
-        rt.stats.lock().calls += 1;
-        for hook in rt.hooks_snapshot() {
-            hook.call_dispatched(rt, &call);
-        }
+        // Fails only once the owning runtime has dropped.
+        let object = self
+            .object
+            .upgrade()
+            .ok_or(ComError::DeadInstance(call.owner.0))?;
+        rt.stats.calls.fetch_add(1, Ordering::Relaxed);
         rt.push_frame(Frame {
             instance: call.owner,
             clsid: call.owner_clsid,
@@ -402,7 +466,7 @@ impl Invoker for DirectInvoker {
         });
         let _guard = FrameGuard { rt };
         let ctx = CallCtx::new(rt, call.owner, call.owner_clsid);
-        self.object.invoke(&ctx, call.desc.iid, call.method, msg)
+        object.invoke(&ctx, call.desc.iid, call.method, msg)
     }
 }
 
@@ -534,8 +598,8 @@ mod tests {
         rt.release_instance(ptr.owner()).unwrap();
         assert_eq!(rt.instance_count(), 0);
         assert!(rt.release_instance(ptr.owner()).is_err());
-        // The pointer still dispatches (the object is kept alive by the
-        // invoker), but a fresh QueryInterface fails.
+        // The pointer still dispatches (the runtime keeps released objects
+        // until it drops), but a fresh QueryInterface fails.
         assert!(rt.make_ptr(ptr.owner(), iid).is_err());
     }
 

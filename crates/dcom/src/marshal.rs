@@ -15,9 +15,8 @@
 //! execution (which they are, because both call this module).
 
 use coign_com::idl::MethodDesc;
-use coign_com::{ComError, ComResult, Iid, Message, Value};
+use coign_com::{ComError, ComResult, FxHashMap, Iid, Message, Value};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes of an `OBJREF` — the wire form of a marshaled interface pointer.
@@ -173,7 +172,7 @@ fn directional_fingerprint(method: &MethodDesc, msg: &Message, want_request: boo
 /// the non-remotable error path and must re-fire every time.
 #[derive(Debug, Default)]
 pub struct SizeCache {
-    map: Mutex<HashMap<(Iid, u32, bool, u64), u64>>,
+    map: Mutex<FxHashMap<(Iid, u32, bool, u64), u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }

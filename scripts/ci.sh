@@ -17,8 +17,14 @@ echo "==> cargo build --release --workspace"
 # run stale `target/release/coign` / `perfsuite` binaries.
 cargo build --release --workspace
 
-echo "==> cargo test --workspace"
-cargo test -q --workspace
+echo "==> cargo test --workspace (empty TMPDIR)"
+# Each run gets an empty TMPDIR, so a test that passes only on state some
+# other process left behind (such as a profiled shared `gen:` image) fails
+# here instead of passing by accident.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+mkdir "$TMP/tests"
+TMPDIR="$TMP/tests" cargo test -q --workspace
 
 echo "==> fault-injection determinism (two seeds vs committed expectations)"
 # The fault layer's whole value is reproducibility: the same image, plan,
@@ -28,8 +34,6 @@ echo "==> fault-injection determinism (two seeds vs committed expectations)"
 # expectation. Regenerate after an intentional change with:
 #   scripts/ci.sh --regen-fault-expectations
 BIN=target/release/coign
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
 IMG="$TMP/octarine.cimg"
 "$BIN" instrument octarine "$IMG" >/dev/null
 "$BIN" profile "$IMG" o_oldtb3 >/dev/null
