@@ -22,8 +22,8 @@ use coign::multiway::{
 };
 use coign::recovery::RecoveryConfig;
 use coign::runtime::{
-    choose_distribution, profile_scenario, profile_scenarios, profile_scenarios_observed,
-    profile_scenarios_parallel, run_distributed, run_distributed_recovering,
+    choose_distribution, profile_scenario, profile_scenarios, profile_scenarios_crosschecked,
+    run_distributed, run_distributed_recovering,
 };
 use coign::sweep::{sweep, SweepGrid, SweepMode};
 use coign::Application;
@@ -113,8 +113,9 @@ fn main() {
     });
     let (parallel, parallel_ms) = timed_min_ms(|| {
         let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        profile_scenarios_parallel(app.as_ref(), &SCENARIOS, &classifier, JOBS)
+        profile_scenarios_crosschecked(app.as_ref(), &SCENARIOS, &classifier, JOBS, None)
             .expect("parallel profile")
+            .0
     });
     assert_eq!(
         sequential.encode(),
@@ -180,7 +181,7 @@ fn main() {
             let obs = Obs::enabled();
             obs.tracer.set_host_time(false);
             let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-            profile_scenarios_observed(app.as_ref(), &SCENARIOS, &classifier, Some(&obs))
+            profile_scenarios_crosschecked(app.as_ref(), &SCENARIOS, &classifier, 1, Some(&obs))
                 .expect("traced profile");
             traced_events = obs.tracer.len();
         },

@@ -28,15 +28,14 @@
 use coign::analysis::Distribution;
 use coign::application::Application;
 use coign::classifier::{ClassifierKind, InstanceClassifier};
-use coign::config::RuntimeMode;
+use coign::config::{ConfigRecord, RuntimeMode};
 use coign::multiway::{replicate_for_distribution, ReplicaRouter, ReplicationPlan};
 use coign::recovery::RecoveryConfig;
 use coign::report;
 use coign::rewriter;
 use coign::runtime::{
-    check_constraints, choose_distribution, derive_constraints, profile_scenarios_crosschecked,
-    run_distributed_faulty_observed, run_distributed_recovering,
-    run_distributed_recovering_observed,
+    check_constraints, choose_distribution, derive_constraints, execute_distributed,
+    profile_scenarios_crosschecked, run_distributed_recovering, RunOptions,
 };
 use coign::sweep::{sweep, SweepGrid, SweepMode};
 use coign_apps::scenarios::app_by_name;
@@ -84,9 +83,10 @@ static GEN_IMAGE_CACHE: std::sync::OnceLock<
 /// Resolves an image argument: a plain path passes through, while the
 /// `gen:<seed>[:<size>]` form addresses a generated application — its
 /// instrumented image is materialized on first use under the system temp
-/// directory (atomically: temp file + rename), so
-/// `coign check/profile/... gen:7` works with no explicit `coign gen
-/// --emit` step.
+/// directory (atomically: temp file + rename), so `coign check/show/...
+/// gen:7` works with no explicit `coign gen --emit` step. Commands that
+/// need the image's profile resolve through [`resolve_private_image_spec`]
+/// instead, which refuses `gen:` addresses.
 ///
 /// Materialization is cached at two levels, both keyed by (seed, size):
 /// an in-process memo short-circuits repeated resolutions, and the
@@ -132,6 +132,33 @@ pub fn resolve_image_spec(spec: &str) -> ComResult<PathBuf> {
     Ok(path)
 }
 
+/// Resolves the image argument of a command that reads or rewrites the
+/// image's profile or realized distribution (`profile`, `analyze`,
+/// `sweep`, `place`, `run`, `chaos`, `serve`, `hotspots`, `script`,
+/// `strip`). A `gen:` address names the materialized image every process
+/// shares: rewriting it in place, or reading state an earlier process left
+/// in it, would make one run's output depend on what ran before. Such
+/// addresses are refused with the command that emits a private copy
+/// instead.
+pub fn resolve_private_image_spec(spec: &str) -> ComResult<PathBuf> {
+    let Some(gspec) = spec
+        .strip_prefix("gen:")
+        .and_then(coign_gen::parse_gen_spec)
+    else {
+        return resolve_image_spec(spec);
+    };
+    let size = match gspec.size {
+        GenSize::Small => String::new(),
+        other => format!(" --size {}", other.name()),
+    };
+    Err(ComError::App(format!(
+        "`{spec}` is the shared generated image, which is never profiled or \
+         rewritten — emit a private copy with `coign gen --seed {}{size} --emit DIR` and use DIR/{}.cimg",
+        gspec.seed,
+        gspec.stem(),
+    )))
+}
+
 /// Parses a network name.
 pub fn network_by_name(name: &str) -> ComResult<NetworkModel> {
     Ok(match name {
@@ -151,6 +178,28 @@ fn load(path: &Path) -> ComResult<AppImage> {
     let bytes = std::fs::read(path)
         .map_err(|e| ComError::App(format!("cannot read {}: {e}", path.display())))?;
     AppImage::decode(&bytes)
+}
+
+/// Loads an image whose record carries an accumulated profile — and, when
+/// `scenario` is named, a profile of that scenario — the input of every
+/// command that works from the profile rather than from a run.
+fn load_profiled(path: &Path, scenario: Option<&str>) -> ComResult<(AppImage, ConfigRecord)> {
+    let image = load(path)?;
+    let record = rewriter::read_config(&image)?;
+    if record.profile.total_messages() == 0 {
+        return Err(ComError::App(
+            "no profile accumulated yet — run `coign profile` first".to_string(),
+        ));
+    }
+    if let Some(scenario) = scenario {
+        if !record.profile.scenarios.iter().any(|s| s == scenario) {
+            return Err(ComError::App(format!(
+                "scenario `{scenario}` was never profiled into this image (profiled: {})",
+                record.profile.scenarios.join(", ")
+            )));
+        }
+    }
+    Ok((image, record))
 }
 
 fn store(path: &Path, image: &AppImage) -> ComResult<()> {
@@ -205,15 +254,11 @@ pub fn cmd_check(path: &Path, json: bool) -> Result<String, String> {
 /// With `--jobs N > 1`, scenarios run on worker threads; the merged log
 /// and the stored classifier table are byte-identical to a sequential
 /// pass regardless of `N` (see
-/// [`coign::runtime::profile_scenarios_parallel`]).
-pub fn cmd_profile(path: &Path, scenarios: &[&str], jobs: usize) -> ComResult<String> {
-    cmd_profile_observed(path, scenarios, jobs, None)
-}
-
-/// [`cmd_profile`] with an optional observability bundle: the command runs
-/// under a `profile` phase span, each scenario under a `scenario:<name>`
-/// span, and every intercepted call emits an `icc_call` instant.
-pub fn cmd_profile_observed(
+/// [`coign::runtime::profile_scenarios_crosschecked`]).
+///
+/// With an observability bundle the command runs under a `profile` phase
+/// span and each scenario under a `scenario:<name>` span.
+pub fn cmd_profile(
     path: &Path,
     scenarios: &[&str],
     jobs: usize,
@@ -264,26 +309,13 @@ pub fn cmd_profile_observed(
 
 /// `coign analyze <image> [network]` — chooses a distribution for the
 /// accumulated profile and realizes it in the image.
-pub fn cmd_analyze(path: &Path, network_name: &str) -> ComResult<String> {
-    cmd_analyze_observed(path, network_name, None)
-}
-
-/// [`cmd_analyze`] with an optional observability bundle: the command runs
-/// under an `analyze` phase span, with nested `mincut` (graph cutting) and
-/// `rewrite` (image realization) spans.
-pub fn cmd_analyze_observed(
-    path: &Path,
-    network_name: &str,
-    obs: Option<&Obs>,
-) -> ComResult<String> {
+///
+/// With an observability bundle the command runs under an `analyze` phase
+/// span, with nested `mincut` (graph cutting) and `rewrite` (image
+/// realization) spans.
+pub fn cmd_analyze(path: &Path, network_name: &str, obs: Option<&Obs>) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("analyze"));
-    let mut image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
+    let (mut image, record) = load_profiled(path, None)?;
     let app = app_for_image(&image)?;
     let classifier = InstanceClassifier::decode(&record.classifier)?;
     let network = network_by_name(network_name)?;
@@ -315,24 +347,15 @@ pub fn cmd_analyze_observed(
 /// across a fixed grid of network latency/bandwidth points (warm-starting
 /// each solve from its predecessor and cross-validating against a cold
 /// Dinic solve) and reports where the best distribution changes.
-pub fn cmd_sweep(path: &Path, json: bool) -> ComResult<String> {
-    cmd_sweep_observed(path, json, None)
-}
-
-/// [`cmd_sweep`] with an optional observability bundle: the command runs
-/// under a `sweep` phase span and the registry gains the warm/cold solve
-/// counts. The sweep itself always runs [`SweepMode::WarmValidated`] — one
-/// warm-started solve per grid point, each cross-validated by a cold Dinic
-/// solve — so both counters equal the number of grid points.
-pub fn cmd_sweep_observed(path: &Path, json: bool, obs: Option<&Obs>) -> ComResult<String> {
+///
+/// With an observability bundle the command runs under a `sweep` phase
+/// span and the registry gains the warm/cold solve counts. The sweep
+/// always runs [`SweepMode::WarmValidated`] — one warm-started solve per
+/// grid point, each cross-validated by a cold Dinic solve — so both
+/// counters equal the number of grid points.
+pub fn cmd_sweep(path: &Path, json: bool, obs: Option<&Obs>) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("sweep"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
+    let (image, record) = load_profiled(path, None)?;
     let app = app_for_image(&image)?;
     let grid = SweepGrid::paper_networks();
     let result = sweep(
@@ -441,19 +464,11 @@ impl Default for PlaceOptions {
 /// reduces modeled cut traffic. The report is rendered purely from the
 /// resulting placement, so on an application with no replicable classes
 /// `--replicate` output is byte-identical to the plain multiway placement.
+///
+/// With an observability bundle the command runs under a `place` phase
+/// span and the registry gains `coign_replicas_placed` /
+/// `coign_replication_gain_us` counters.
 pub fn cmd_place(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    opts: &PlaceOptions,
-) -> ComResult<String> {
-    cmd_place_observed(path, scenario, network_name, opts, None)
-}
-
-/// [`cmd_place`] with an optional observability bundle: the command runs
-/// under a `place` phase span and the registry gains
-/// `coign_replicas_placed` / `coign_replication_gain_us` counters.
-pub fn cmd_place_observed(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -466,19 +481,7 @@ pub fn cmd_place_observed(
     };
 
     let _span = obs.map(|o| o.tracer.phase_span("place"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
-    if !record.profile.scenarios.iter().any(|s| s == scenario) {
-        return Err(ComError::App(format!(
-            "scenario `{scenario}` was never profiled into this image (profiled: {})",
-            record.profile.scenarios.join(", ")
-        )));
-    }
+    let (image, record) = load_profiled(path, Some(scenario))?;
     if opts.machines < 2 {
         return Err(ComError::App(
             "placement needs at least two machines (--machines N)".to_string(),
@@ -633,22 +636,14 @@ pub struct RunFaults {
 /// `coign run <image> <scenario> [network] [--fault-plan FILE]
 /// [--fault-seed N] [--summary]` — executes a realized image distributed,
 /// optionally over a faulty wire.
-pub fn cmd_run(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    faults: &RunFaults,
-) -> ComResult<String> {
-    cmd_run_observed(path, scenario, network_name, faults, None)
-}
-
-/// [`cmd_run`] with an optional observability bundle: the command runs
-/// under a `run` phase span, every cut-crossing call emits an `icc_call`
-/// instant at its simulated-clock time, fault-layer events are traced, the
-/// flight recorder retains the tail of cut-crossing traffic (dumped on
+///
+/// With an observability bundle the command runs under a `run` phase span,
+/// every cut-crossing call emits an `icc_call` instant at its
+/// simulated-clock time, fault-layer events are traced, the flight
+/// recorder retains the tail of cut-crossing traffic (dumped on
 /// `Timeout`/`Partitioned`/`MachineDown`), and the report's counters are
 /// added to the registry.
-pub fn cmd_run_observed(
+pub fn cmd_run(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -681,18 +676,22 @@ pub fn cmd_run_observed(
             FaultPlan::parse(&text)?
         }
     };
-    let report = run_distributed_faulty_observed(
+    let opts = RunOptions {
+        faults: plan,
+        fault_seed: faults.fault_seed,
+        obs,
+        ..RunOptions::default()
+    };
+    let report = execute_distributed(
         app.as_ref(),
         scenario,
         &classifier,
         &distribution,
         network,
         SEED,
-        plan,
-        CallPolicy::default(),
-        faults.fault_seed,
-        obs,
-    )?;
+        opts,
+    )?
+    .report;
     if faults.summary {
         return Ok(format!("scenario={scenario}\n{}", report.summary()));
     }
@@ -832,24 +831,27 @@ fn chaos_trial(
         .collect::<Vec<_>>()
         .join("; ");
     let fork = Arc::new(classifier.fork());
-    let run = run_distributed_recovering_observed(
+    let config = RecoveryConfig {
+        replicas: replicas.cloned(),
+        ..RecoveryConfig::default()
+    };
+    let opts = RunOptions {
+        faults: plan,
+        fault_seed: trial_seed,
+        recovery: Some((profile, config)),
+        obs,
+        ..RunOptions::default()
+    };
+    let run = execute_distributed(
         app,
         scenario,
         &fork,
         distribution,
-        profile,
         network.clone(),
         SEED,
-        plan,
-        CallPolicy::default(),
-        trial_seed,
-        RecoveryConfig {
-            replicas: replicas.cloned(),
-            ..RecoveryConfig::default()
-        },
-        obs,
+        opts,
     )?;
-    let coord = &run.coordinator;
+    let coord = run.coordinator.as_ref().expect("recovery was requested");
     let mut violations = Vec::new();
     // Invariant: every trial either completes, is recovered, or fails with
     // a *typed* transport error — never an untyped crash.
@@ -938,20 +940,12 @@ fn chaos_trial(
 /// double executions, constraint-satisfying post-recovery placements,
 /// warm-started re-solves). The summary is byte-identical for a given
 /// seed, across repeated runs and across `--jobs`.
+///
+/// With an observability bundle trials emit the full fault/recovery
+/// instrumentation (breaker transitions, `recovery` instants,
+/// flight-recorder dumps) and the recovery counters accumulate in the
+/// registry across trials.
 pub fn cmd_chaos(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    opts: &ChaosOptions,
-) -> ComResult<String> {
-    cmd_chaos_observed(path, scenario, network_name, opts, None)
-}
-
-/// [`cmd_chaos`] with an optional observability bundle: trials emit the
-/// full fault/recovery instrumentation (breaker transitions, `recovery`
-/// instants, flight-recorder dumps) and the recovery counters accumulate
-/// in the registry across trials.
-pub fn cmd_chaos_observed(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -1188,20 +1182,12 @@ fn derive_replica_router(
 /// sharded discrete-event simulation with per-link ICC batching and
 /// session-state pooling ([`coign::serve`]). The summary is byte-identical
 /// for a given seed across repeated runs and across `--jobs`.
-pub fn cmd_serve(
-    path: &Path,
-    scenario: &str,
-    network_name: &str,
-    opts: &ServeCliOptions,
-) -> ComResult<String> {
-    cmd_serve_observed(path, scenario, network_name, opts, None)
-}
-
-/// [`cmd_serve`] with an optional observability bundle: the registry gains
-/// the serve counters (sessions, calls, batches, pool hits/misses), the
-/// merged session-latency histogram, and simulated-throughput gauges — all
+///
+/// With an observability bundle the registry gains the serve counters
+/// (sessions, calls, batches, pool hits/misses), the merged
+/// session-latency histogram, and simulated-throughput gauges — all
 /// deterministic, so `--metrics` output stays byte-identical per seed.
-pub fn cmd_serve_observed(
+pub fn cmd_serve(
     path: &Path,
     scenario: &str,
     network_name: &str,
@@ -1209,19 +1195,7 @@ pub fn cmd_serve_observed(
     obs: Option<&Obs>,
 ) -> ComResult<String> {
     let _span = obs.map(|o| o.tracer.phase_span("serve"));
-    let image = load(path)?;
-    let record = rewriter::read_config(&image)?;
-    if record.profile.total_messages() == 0 {
-        return Err(ComError::App(
-            "no profile accumulated yet — run `coign profile` first".to_string(),
-        ));
-    }
-    if !record.profile.scenarios.iter().any(|s| s == scenario) {
-        return Err(ComError::App(format!(
-            "scenario `{scenario}` was never profiled into this image (profiled: {})",
-            record.profile.scenarios.join(", ")
-        )));
-    }
+    let (image, record) = load_profiled(path, Some(scenario))?;
     let app = app_for_image(&image)?;
     let network = network_by_name(network_name)?;
     // The placement under load: chosen fresh from the accumulated profile
@@ -1732,7 +1706,7 @@ mod tests {
         let msg = cmd_instrument("octarine", &path).unwrap();
         assert!(msg.contains("coignrte.dll"));
 
-        let msg = cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
+        let msg = cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
         assert!(msg.contains("messages"));
         // Honest annotations: the dynamic cross-check stays silent.
         assert!(!msg.contains("COIGN045"));
@@ -1741,13 +1715,13 @@ mod tests {
         assert!(msg.contains("mode:       profiling"));
         assert!(msg.contains("o_oldtb3"));
 
-        let msg = cmd_analyze(&path, "ethernet").unwrap();
+        let msg = cmd_analyze(&path, "ethernet", None).unwrap();
         assert!(msg.contains("server"));
 
         let msg = cmd_show(&path).unwrap();
         assert!(msg.contains("distributed"));
 
-        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &RunFaults::default()).unwrap();
+        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &RunFaults::default(), None).unwrap();
         assert!(msg.contains("cross-machine"));
         // A clean wire prints no fault line.
         assert!(!msg.contains("faults:"));
@@ -1766,9 +1740,9 @@ mod tests {
     fn profiles_accumulate_across_invocations() {
         let path = temp_image("acc");
         cmd_instrument("benefits", &path).unwrap();
-        let msg = cmd_profile(&path, &["b_vueone"], 1).unwrap();
+        let msg = cmd_profile(&path, &["b_vueone"], 1, None).unwrap();
         assert!(!msg.contains("COIGN045"));
-        cmd_profile(&path, &["b_addone"], 1).unwrap();
+        cmd_profile(&path, &["b_addone"], 1, None).unwrap();
         let show = cmd_show(&path).unwrap();
         assert!(show.contains("b_vueone, b_addone"));
         std::fs::remove_file(&path).ok();
@@ -1784,8 +1758,8 @@ mod tests {
         cmd_instrument("octarine", &seq_path).unwrap();
         cmd_instrument("octarine", &par_path).unwrap();
         let scenarios = ["o_oldtb3", "o_newdoc", "o_oldwp7"];
-        cmd_profile(&seq_path, &scenarios, 1).unwrap();
-        cmd_profile(&par_path, &scenarios, 4).unwrap();
+        cmd_profile(&seq_path, &scenarios, 1, None).unwrap();
+        cmd_profile(&par_path, &scenarios, 4, None).unwrap();
         let seq_bytes = std::fs::read(&seq_path).unwrap();
         let par_bytes = std::fs::read(&par_path).unwrap();
         assert_eq!(seq_bytes, par_bytes);
@@ -1798,18 +1772,18 @@ mod tests {
         let path = temp_image("sweep");
         cmd_instrument("octarine", &path).unwrap();
         // Sweeping before profiling is rejected.
-        assert!(cmd_sweep(&path, false)
+        assert!(cmd_sweep(&path, false, None)
             .unwrap_err()
             .to_string()
             .contains("no profile"));
-        cmd_profile(&path, &["o_oldtb3", "o_newdoc"], 2).unwrap();
-        let human = cmd_sweep(&path, false).unwrap();
+        cmd_profile(&path, &["o_oldtb3", "o_newdoc"], 2, None).unwrap();
+        let human = cmd_sweep(&path, false, None).unwrap();
         assert!(human.contains("partition sweep over 16 network point(s)"));
-        let json = cmd_sweep(&path, true).unwrap();
+        let json = cmd_sweep(&path, true, None).unwrap();
         assert!(json.starts_with("{\"grid\":"));
         assert!(json.contains("\"points\":["));
         // Deterministic output, twice in a row.
-        assert_eq!(json, cmd_sweep(&path, true).unwrap());
+        assert_eq!(json, cmd_sweep(&path, true, None).unwrap());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1817,7 +1791,7 @@ mod tests {
     fn analyze_requires_a_profile() {
         let path = temp_image("noprof");
         cmd_instrument("photodraw", &path).unwrap();
-        let err = cmd_analyze(&path, "ethernet").unwrap_err();
+        let err = cmd_analyze(&path, "ethernet", None).unwrap_err();
         assert!(err.to_string().contains("no profile"));
         std::fs::remove_file(&path).ok();
     }
@@ -1826,8 +1800,8 @@ mod tests {
     fn run_requires_realization() {
         let path = temp_image("norun");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_newdoc"], 1).unwrap();
-        let err = cmd_run(&path, "o_newdoc", "ethernet", &RunFaults::default()).unwrap_err();
+        cmd_profile(&path, &["o_newdoc"], 1, None).unwrap();
+        let err = cmd_run(&path, "o_newdoc", "ethernet", &RunFaults::default(), None).unwrap_err();
         assert!(err.to_string().contains("not realized"));
         std::fs::remove_file(&path).ok();
     }
@@ -1844,7 +1818,7 @@ mod tests {
         cmd_instrument("octarine", &img).unwrap();
         let msg = cmd_script(&img, &script).unwrap();
         assert!(msg.contains("scripted profile (3 op(s))"));
-        cmd_analyze(&img, "ethernet").unwrap();
+        cmd_analyze(&img, "ethernet", None).unwrap();
 
         let dot_path = {
             let mut p = std::env::temp_dir();
@@ -1879,8 +1853,8 @@ mod tests {
     fn fault_injected_run_reports_counters_and_reproduces() {
         let path = temp_image("faultrun");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
 
         let plan_path = {
             let mut p = std::env::temp_dir();
@@ -1893,7 +1867,7 @@ mod tests {
             fault_seed: 7,
             summary: false,
         };
-        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &faults).unwrap();
+        let msg = cmd_run(&path, "o_oldtb3", "ethernet", &faults, None).unwrap();
         assert!(
             msg.contains("faults:"),
             "lossy run must report faults: {msg}"
@@ -1905,8 +1879,8 @@ mod tests {
             summary: true,
             ..faults.clone()
         };
-        let a = cmd_run(&path, "o_oldtb3", "ethernet", &summary_opts).unwrap();
-        let b = cmd_run(&path, "o_oldtb3", "ethernet", &summary_opts).unwrap();
+        let a = cmd_run(&path, "o_oldtb3", "ethernet", &summary_opts, None).unwrap();
+        let b = cmd_run(&path, "o_oldtb3", "ethernet", &summary_opts, None).unwrap();
         assert_eq!(a, b);
         assert!(a.contains("fault_drops="));
 
@@ -1919,13 +1893,14 @@ mod tests {
                 fault_seed: 8,
                 ..summary_opts
             },
+            None,
         )
         .unwrap();
         assert_ne!(a, other);
 
         // A malformed plan is rejected with its line number.
         std::fs::write(&plan_path, "explode 1\n").unwrap();
-        let err = cmd_run(&path, "o_oldtb3", "ethernet", &faults).unwrap_err();
+        let err = cmd_run(&path, "o_oldtb3", "ethernet", &faults, None).unwrap_err();
         assert!(err.to_string().contains("line 1"));
 
         std::fs::remove_file(&path).ok();
@@ -1936,16 +1911,16 @@ mod tests {
     fn chaos_summary_is_deterministic_across_runs_and_jobs() {
         let path = temp_image("chaos");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
         let opts = ChaosOptions {
             seed: 7,
             trials: 6,
             jobs: 1,
             replicate: false,
         };
-        let a = cmd_chaos(&path, "o_oldtb3", "ethernet", &opts).unwrap();
-        let b = cmd_chaos(&path, "o_oldtb3", "ethernet", &opts).unwrap();
+        let a = cmd_chaos(&path, "o_oldtb3", "ethernet", &opts, None).unwrap();
+        let b = cmd_chaos(&path, "o_oldtb3", "ethernet", &opts, None).unwrap();
         assert_eq!(a, b, "same seed must reproduce the summary byte-for-byte");
         for jobs in [2, 4, 8] {
             let par = cmd_chaos(
@@ -1956,6 +1931,7 @@ mod tests {
                     jobs,
                     ..opts.clone()
                 },
+                None,
             )
             .unwrap();
             assert_eq!(a, par, "summary differs at jobs={jobs}");
@@ -1967,6 +1943,7 @@ mod tests {
             "o_oldtb3",
             "ethernet",
             &ChaosOptions { seed: 8, ..opts },
+            None,
         )
         .unwrap();
         assert_ne!(a, other);
@@ -1977,8 +1954,8 @@ mod tests {
     fn chaos_machine_death_trials_recover_with_warm_resolves() {
         let path = temp_image("chaosdeath");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
         // Enough trials that the seeded generator draws at least one
         // permanent server death; the invariant checker inside cmd_chaos
         // then enforces warm re-solves, valid placements, and zero double
@@ -1993,6 +1970,7 @@ mod tests {
                 jobs: 2,
                 replicate: false,
             },
+            None,
         )
         .unwrap();
         assert!(
@@ -2008,7 +1986,7 @@ mod tests {
     fn serve_fault_seed_is_deterministic_and_transparent_at_zero() {
         let path = temp_image("servefault");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
         let base = ServeCliOptions {
             sessions: 500,
             shards: 2,
@@ -2017,7 +1995,7 @@ mod tests {
         };
         // fault_seed 0 is the explicit zero-fault seed: no inject line, no
         // fault counters — byte-identical to a build with no fault layer.
-        let clean = cmd_serve(&path, "o_oldtb3", "ethernet", &base).unwrap();
+        let clean = cmd_serve(&path, "o_oldtb3", "ethernet", &base, None).unwrap();
         assert!(!clean.contains("inject:"), "{clean}");
         assert!(!clean.contains("faults:"), "{clean}");
         let faulted = ServeCliOptions {
@@ -2025,7 +2003,7 @@ mod tests {
             replicate: true,
             ..base.clone()
         };
-        let a = cmd_serve(&path, "o_oldtb3", "ethernet", &faulted).unwrap();
+        let a = cmd_serve(&path, "o_oldtb3", "ethernet", &faulted, None).unwrap();
         assert!(a.contains("inject: down "), "{a}");
         assert!(a.contains("faults: "), "{a}");
         for jobs in [2, 4] {
@@ -2037,6 +2015,7 @@ mod tests {
                     jobs,
                     ..faulted.clone()
                 },
+                None,
             )
             .unwrap();
             assert_eq!(a, b, "faulted summary differs at jobs={jobs}");
@@ -2058,6 +2037,7 @@ mod tests {
                 json: true,
                 ..base
             },
+            None,
         )
         .unwrap();
         assert!(json.contains("\"inject\":\"loss 0.05 * ..\""), "{json}");
@@ -2070,8 +2050,8 @@ mod tests {
     fn chaos_replicate_runs_clean_and_marks_the_summary() {
         let path = temp_image("chaosrep");
         cmd_instrument("octarine", &path).unwrap();
-        cmd_profile(&path, &["o_oldwp7"], 1).unwrap();
-        cmd_analyze(&path, "ethernet").unwrap();
+        cmd_profile(&path, &["o_oldwp7"], 1, None).unwrap();
+        cmd_analyze(&path, "ethernet", None).unwrap();
         let summary = cmd_chaos(
             &path,
             "o_oldwp7",
@@ -2082,6 +2062,7 @@ mod tests {
                 jobs: 2,
                 replicate: true,
             },
+            None,
         )
         .unwrap();
         assert!(summary.contains("replicate=on"), "{summary}");
@@ -2096,41 +2077,49 @@ mod tests {
         cmd_instrument("octarine", &path).unwrap();
         // Placing before profiling (or for an unprofiled scenario) is
         // rejected.
-        assert!(
-            cmd_place(&path, "o_oldtb3", "ethernet", &PlaceOptions::default())
-                .unwrap_err()
-                .to_string()
-                .contains("no profile")
-        );
-        cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-        assert!(
-            cmd_place(&path, "o_newdoc", "ethernet", &PlaceOptions::default())
-                .unwrap_err()
-                .to_string()
-                .contains("never profiled")
-        );
+        assert!(cmd_place(
+            &path,
+            "o_oldtb3",
+            "ethernet",
+            &PlaceOptions::default(),
+            None
+        )
+        .unwrap_err()
+        .to_string()
+        .contains("no profile"));
+        cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+        assert!(cmd_place(
+            &path,
+            "o_newdoc",
+            "ethernet",
+            &PlaceOptions::default(),
+            None
+        )
+        .unwrap_err()
+        .to_string()
+        .contains("never profiled"));
 
         let opts = PlaceOptions::default();
-        let human = cmd_place(&path, "o_oldtb3", "ethernet", &opts).unwrap();
+        let human = cmd_place(&path, "o_oldtb3", "ethernet", &opts, None).unwrap();
         assert!(human.contains("across 3 machine(s)"));
         assert!(human.contains("machine 2:"));
         assert!(human.contains("cut: heuristic"));
         // Deterministic, twice in a row.
         assert_eq!(
             human,
-            cmd_place(&path, "o_oldtb3", "ethernet", &opts).unwrap()
+            cmd_place(&path, "o_oldtb3", "ethernet", &opts, None).unwrap()
         );
 
         let json_opts = PlaceOptions {
             json: true,
             ..opts.clone()
         };
-        let json = cmd_place(&path, "o_oldtb3", "ethernet", &json_opts).unwrap();
+        let json = cmd_place(&path, "o_oldtb3", "ethernet", &json_opts, None).unwrap();
         assert!(json.starts_with("{\"app\":\"octarine.exe\""));
         assert!(json.contains("\"placement\":["));
         assert_eq!(
             json,
-            cmd_place(&path, "o_oldtb3", "ethernet", &json_opts).unwrap()
+            cmd_place(&path, "o_oldtb3", "ethernet", &json_opts, None).unwrap()
         );
         std::fs::remove_file(&path).ok();
     }
@@ -2142,8 +2131,15 @@ mod tests {
         // The 208-page text document: reader and properties split away from
         // the layout cluster, so the effect-free flyweights (text blocks,
         // font caches) see traffic from more than one machine.
-        cmd_profile(&path, &["o_oldwp7"], 1).unwrap();
-        let plain = cmd_place(&path, "o_oldwp7", "ethernet", &PlaceOptions::default()).unwrap();
+        cmd_profile(&path, &["o_oldwp7"], 1, None).unwrap();
+        let plain = cmd_place(
+            &path,
+            "o_oldwp7",
+            "ethernet",
+            &PlaceOptions::default(),
+            None,
+        )
+        .unwrap();
         let replicated = cmd_place(
             &path,
             "o_oldwp7",
@@ -2152,6 +2148,7 @@ mod tests {
                 replicate: true,
                 ..PlaceOptions::default()
             },
+            None,
         )
         .unwrap();
         // The annotated example app has at least one provably replicable

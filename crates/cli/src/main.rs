@@ -1,10 +1,10 @@
 //! `coign` — the tool-chain CLI. See the crate docs for the workflow.
 
 use coign_cli::{
-    cmd_analyze_observed, cmd_chaos_observed, cmd_check, cmd_dot, cmd_explore, cmd_gen,
-    cmd_hotspots, cmd_instrument, cmd_place_observed, cmd_profile_observed, cmd_run_observed,
-    cmd_script, cmd_serve_observed, cmd_show, cmd_strip, cmd_sweep_observed, resolve_image_spec,
-    ChaosOptions, ExploreCliOptions, PlaceOptions, RunFaults, ServeCliOptions,
+    cmd_analyze, cmd_chaos, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_hotspots, cmd_instrument,
+    cmd_place, cmd_profile, cmd_run, cmd_script, cmd_serve, cmd_show, cmd_strip, cmd_sweep,
+    resolve_image_spec, resolve_private_image_spec, ChaosOptions, ExploreCliOptions, PlaceOptions,
+    RunFaults, ServeCliOptions,
 };
 use coign_gen::GenSize;
 use coign_obs::Obs;
@@ -61,8 +61,10 @@ USAGE:
         [--size small|medium|large]     topology size class (default small)
         [--emit <dir>]                  write the instrumented image into <dir>
         [--json]                        emit the machine-readable topology summary
-                                        (every <image> above also accepts the address
-                                         gen:<seed>[:<size>] — generated on demand)
+                                        (check, show and dot also accept the address
+                                         gen:<seed>[:<size>] — generated on demand —
+                                         in place of <image>; commands that need a
+                                         profile take an emitted private copy)
   coign explore    gen:<seed>[:<size>] <scenario> [network]   schedule-space
         [--faults-at T,T,...]           exploration: run every (fault instant x
         [--enumerate-depth D]           breaker threshold x drift mode) interleaving
@@ -462,38 +464,43 @@ fn dispatch(args: &[String], obs: Option<&Obs>) -> Result<String, String> {
             .ok_or_else(|| USAGE.to_string())
     };
     // Image-positional arguments accept `gen:<seed>[:<size>]` addresses;
-    // those materialize an instrumented image on demand.
+    // those materialize an instrumented image on demand. Commands that
+    // read or rewrite the image's profile refuse them: the materialized
+    // image is shared, so its record must not depend on earlier runs.
     let image = |i: usize| -> Result<PathBuf, String> {
         resolve_image_spec(arg(i)?).map_err(|e| format!("error: {e}"))
+    };
+    let private_image = |i: usize| -> Result<PathBuf, String> {
+        resolve_private_image_spec(arg(i)?).map_err(|e| format!("error: {e}"))
     };
     let result = match arg(0)? {
         "instrument" => cmd_instrument(arg(1)?, Path::new(arg(2)?)),
         "profile" => {
             let (scenarios, jobs) = parse_profile_args(&args[2.min(args.len())..])?;
             let refs: Vec<&str> = scenarios.iter().map(String::as_str).collect();
-            cmd_profile_observed(&image(1)?, &refs, jobs, obs)
+            cmd_profile(&private_image(1)?, &refs, jobs, obs)
         }
-        "analyze" => cmd_analyze_observed(&image(1)?, arg(2).unwrap_or("ethernet"), obs),
-        "sweep" => cmd_sweep_observed(
-            &image(1)?,
+        "analyze" => cmd_analyze(&private_image(1)?, arg(2).unwrap_or("ethernet"), obs),
+        "sweep" => cmd_sweep(
+            &private_image(1)?,
             args.get(2).map(String::as_str) == Some("--json"),
             obs,
         ),
         "run" => {
             let (network, faults) = parse_run_args(&args[3.min(args.len())..])?;
-            cmd_run_observed(&image(1)?, arg(2)?, &network, &faults, obs)
+            cmd_run(&private_image(1)?, arg(2)?, &network, &faults, obs)
         }
         "place" => {
             let (network, opts) = parse_place_args(&args[3.min(args.len())..])?;
-            cmd_place_observed(&image(1)?, arg(2)?, &network, &opts, obs)
+            cmd_place(&private_image(1)?, arg(2)?, &network, &opts, obs)
         }
         "chaos" => {
             let (network, opts) = parse_chaos_args(&args[3.min(args.len())..])?;
-            cmd_chaos_observed(&image(1)?, arg(2)?, &network, &opts, obs)
+            cmd_chaos(&private_image(1)?, arg(2)?, &network, &opts, obs)
         }
         "serve" => {
             let (network, opts) = parse_serve_args(&args[3.min(args.len())..])?;
-            cmd_serve_observed(&image(1)?, arg(2)?, &network, &opts, obs)
+            cmd_serve(&private_image(1)?, arg(2)?, &network, &opts, obs)
         }
         "gen" => {
             let (seed, size, emit, json) = parse_gen_args(&args[1.min(args.len())..])?;
@@ -506,11 +513,11 @@ fn dispatch(args: &[String], obs: Option<&Obs>) -> Result<String, String> {
         "show" => cmd_show(&image(1)?),
         "hotspots" => {
             let top = arg(2).ok().and_then(|s| s.parse().ok()).unwrap_or(10);
-            cmd_hotspots(&image(1)?, top)
+            cmd_hotspots(&private_image(1)?, top)
         }
-        "script" => cmd_script(&image(1)?, Path::new(arg(2)?)),
+        "script" => cmd_script(&private_image(1)?, Path::new(arg(2)?)),
         "dot" => cmd_dot(&image(1)?, Path::new(arg(2)?)),
-        "strip" => cmd_strip(&image(1)?),
+        "strip" => cmd_strip(&private_image(1)?),
         _ => return Err(USAGE.to_string()),
     };
     result.map_err(|e| format!("error: {e}"))
@@ -598,13 +605,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let obs = if trace_path.is_some() || metrics_path.is_some() {
-        let obs = Obs::enabled();
-        coign_obs::install_global(obs.clone());
-        Some(obs)
-    } else {
-        None
-    };
+    let obs = (trace_path.is_some() || metrics_path.is_some()).then(Obs::enabled);
     // The `cli:<subcommand>` span must close before export, so the trace
     // is written only after `run` returns.
     let code = run(&args, obs.as_ref());

@@ -44,7 +44,7 @@
 
 use coign_cli::{
     cmd_analyze, cmd_check, cmd_dot, cmd_explore, cmd_gen, cmd_instrument, cmd_profile, cmd_serve,
-    cmd_sweep, resolve_image_spec, ExploreCliOptions, ServeCliOptions,
+    cmd_sweep, resolve_image_spec, resolve_private_image_spec, ExploreCliOptions, ServeCliOptions,
 };
 use coign_gen::GenSize;
 use std::path::{Path, PathBuf};
@@ -71,7 +71,7 @@ impl Gen42 {
         let dir = std::env::temp_dir().join(format!("coign_golden_{tag}_{}", std::process::id()));
         let gen = Gen42(dir);
         cmd_gen(42, GenSize::Small, Some(&gen.0), true).expect("gen:42 emits an image");
-        cmd_profile(&gen.image(), &["g_main"], 1).expect("gen:42 profiles g_main");
+        cmd_profile(&gen.image(), &["g_main"], 1, None).expect("gen:42 profiles g_main");
         gen
     }
 
@@ -169,8 +169,8 @@ fn dot_output_matches_golden_file() {
     let img = scratch("dot");
     let out = std::env::temp_dir().join(format!("coign_golden_dot_{}.gv", std::process::id()));
     std::fs::copy(example_image(), &img).expect("copy example image to scratch path");
-    let rendered = cmd_profile(&img, &["o_oldtb3", "o_newdoc"], 2)
-        .and_then(|_| cmd_analyze(&img, "ethernet"))
+    let rendered = cmd_profile(&img, &["o_oldtb3", "o_newdoc"], 2, None)
+        .and_then(|_| cmd_analyze(&img, "ethernet", None))
         .and_then(|_| cmd_dot(&img, &out))
         .and_then(|_| {
             std::fs::read_to_string(&out)
@@ -195,8 +195,8 @@ fn sweep_json_output_matches_golden_file() {
     let scratch =
         std::env::temp_dir().join(format!("coign_golden_sweep_{}.cimg", std::process::id()));
     std::fs::copy(example_image(), &scratch).expect("copy example image to scratch path");
-    let swept =
-        cmd_profile(&scratch, &["o_oldtb3", "o_newdoc"], 2).and_then(|_| cmd_sweep(&scratch, true));
+    let swept = cmd_profile(&scratch, &["o_oldtb3", "o_newdoc"], 2, None)
+        .and_then(|_| cmd_sweep(&scratch, true, None));
     std::fs::remove_file(&scratch).ok();
     let report = swept.expect("profile + sweep succeed on the example image");
     let golden = include_str!("golden/octarine_sweep.json");
@@ -286,8 +286,9 @@ fn serve_json_output_matches_golden_file() {
     // The serving-harness summary is fully simulated (no wall-clock
     // numbers), so its exact JSON shape is pinned. Regenerate with
     //
-    //   cargo run -p coign-cli --bin coign -- profile gen:42 g_main
-    //   cargo run -p coign-cli --bin coign -- serve gen:42 g_main \
+    //   cargo run -p coign-cli --bin coign -- gen --seed 42 --emit /tmp/g
+    //   cargo run -p coign-cli --bin coign -- profile /tmp/g/gen-42-small.cimg g_main
+    //   cargo run -p coign-cli --bin coign -- serve /tmp/g/gen-42-small.cimg g_main \
     //       --sessions 2000 --json > crates/cli/tests/golden/serve_gen42.json
     let gen = Gen42::profiled("serve_json");
     let img = gen.image();
@@ -296,7 +297,7 @@ fn serve_json_output_matches_golden_file() {
         json: true,
         ..ServeCliOptions::default()
     };
-    let report = cmd_serve(&img, "g_main", "ethernet", &opts).expect("serve succeeds");
+    let report = cmd_serve(&img, "g_main", "ethernet", &opts, None).expect("serve succeeds");
     let golden = include_str!("golden/serve_gen42.json");
     assert_eq!(
         report.trim_end(),
@@ -313,9 +314,10 @@ fn serve_timeline_json_matches_golden_file() {
     // The timeline is pure simulated time (windows, busy-µs, per-window
     // quantiles), so its bytes are pinned too. Regenerate with
     //
-    //   cargo run -p coign-cli --bin coign -- profile gen:42 g_main
-    //   cargo run -p coign-cli --bin coign -- serve gen:42 g_main --sessions 2000 \
-    //       --timeline crates/cli/tests/golden/serve_gen42_timeline.json
+    //   cargo run -p coign-cli --bin coign -- gen --seed 42 --emit /tmp/g
+    //   cargo run -p coign-cli --bin coign -- profile /tmp/g/gen-42-small.cimg g_main
+    //   cargo run -p coign-cli --bin coign -- serve /tmp/g/gen-42-small.cimg g_main \
+    //       --sessions 2000 --timeline crates/cli/tests/golden/serve_gen42_timeline.json
     let gen = Gen42::profiled("serve_timeline");
     let img = gen.image();
     let sink =
@@ -325,7 +327,7 @@ fn serve_timeline_json_matches_golden_file() {
         timeline: Some(sink.display().to_string()),
         ..ServeCliOptions::default()
     };
-    let run = cmd_serve(&img, "g_main", "ethernet", &opts);
+    let run = cmd_serve(&img, "g_main", "ethernet", &opts, None);
     let written = std::fs::read_to_string(&sink);
     std::fs::remove_file(&sink).ok();
     run.expect("serve succeeds");
@@ -359,7 +361,7 @@ fn serve_timeline_is_byte_identical_across_jobs() {
             slo_p99_us: Some(4_000),
             ..ServeCliOptions::default()
         };
-        let out = cmd_serve(&img, "g_main", "ethernet", &opts).expect("serve succeeds");
+        let out = cmd_serve(&img, "g_main", "ethernet", &opts, None).expect("serve succeeds");
         let written = std::fs::read_to_string(&sink).expect("timeline file written");
         std::fs::remove_file(&sink).ok();
         out + &written
@@ -387,9 +389,10 @@ fn serve_summary_is_byte_identical_across_jobs() {
         json: true,
         ..ServeCliOptions::default()
     };
-    let base = cmd_serve(&img, "g_main", "ethernet", &opts(1)).expect("serve with one worker");
+    let base =
+        cmd_serve(&img, "g_main", "ethernet", &opts(1), None).expect("serve with one worker");
     for jobs in [2, 4, 8] {
-        let out = cmd_serve(&img, "g_main", "ethernet", &opts(jobs))
+        let out = cmd_serve(&img, "g_main", "ethernet", &opts(jobs), None)
             .expect("serve with parallel workers");
         assert_eq!(
             base, out,
@@ -417,4 +420,52 @@ fn gen_image_materialization_is_cached() {
         stamp, stamp_again,
         "second resolve regenerated the image instead of hitting the cache"
     );
+}
+
+#[test]
+fn commands_that_need_a_profile_refuse_gen_addresses() {
+    // `gen:` names the materialized image every process shares, so no
+    // command may rewrite it or read profile state an earlier run left in
+    // it; the error names the command that emits a private copy instead.
+    let err = resolve_private_image_spec("gen:42").expect_err("gen:42 is refused");
+    assert_eq!(
+        err.to_string(),
+        "application error: `gen:42` is the shared generated image, which is never \
+         profiled or rewritten — emit a private copy with `coign gen --seed 42 --emit DIR` \
+         and use DIR/gen-42-small.cimg"
+    );
+    let err = resolve_private_image_spec("gen:7:medium").expect_err("gen:7:medium is refused");
+    assert!(err
+        .to_string()
+        .contains("`coign gen --seed 7 --size medium --emit DIR` and use DIR/gen-7-medium.cimg"));
+    // Plain paths pass through untouched.
+    let plain = resolve_private_image_spec("app.cimg").expect("plain path");
+    assert_eq!(plain, PathBuf::from("app.cimg"));
+
+    // The binary routes every command that reads or rewrites the profile
+    // through the refusal.
+    for args in [
+        &["profile", "gen:42", "g_main"][..],
+        &["analyze", "gen:42"],
+        &["sweep", "gen:42"],
+        &["place", "gen:42", "g_main"],
+        &["run", "gen:42", "g_main"],
+        &["chaos", "gen:42", "g_main"],
+        &["serve", "gen:42", "g_main"],
+        &["hotspots", "gen:42"],
+        &["script", "gen:42", "steps.txt"],
+        &["strip", "gen:42"],
+    ] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_coign"))
+            .args(args)
+            .output()
+            .expect("spawn coign");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "`coign {}` succeeded", args[0]);
+        assert!(
+            stderr.contains("coign gen --seed 42 --emit DIR"),
+            "`coign {}` error does not name the emit command: {stderr}",
+            args[0]
+        );
+    }
 }

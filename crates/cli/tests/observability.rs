@@ -20,8 +20,8 @@
 //! ```
 
 use coign_cli::{
-    cmd_analyze_observed, cmd_gen, cmd_instrument, cmd_profile, cmd_profile_observed, cmd_run,
-    cmd_run_observed, cmd_serve_observed, cmd_sweep_observed, RunFaults, ServeCliOptions,
+    cmd_analyze, cmd_gen, cmd_instrument, cmd_profile, cmd_run, cmd_serve, cmd_sweep, RunFaults,
+    ServeCliOptions,
 };
 use coign_gen::GenSize;
 use coign_obs::{validate_chrome_trace, Obs};
@@ -45,8 +45,8 @@ fn demo_plan() -> PathBuf {
 fn realized_image(tag: &str) -> PathBuf {
     let path = temp(tag);
     cmd_instrument("octarine", &path).unwrap();
-    cmd_profile(&path, &["o_oldtb3"], 1).unwrap();
-    cmd_analyze_observed(&path, "ethernet", None).unwrap();
+    cmd_profile(&path, &["o_oldtb3"], 1, None).unwrap();
+    cmd_analyze(&path, "ethernet", None).unwrap();
     path
 }
 
@@ -68,7 +68,7 @@ fn fresh_obs() -> Obs {
 
 fn observed_run(path: &Path) -> (Obs, String) {
     let obs = fresh_obs();
-    let out = cmd_run_observed(path, "o_oldtb3", "ethernet", &run_faults(), Some(&obs)).unwrap();
+    let out = cmd_run(path, "o_oldtb3", "ethernet", &run_faults(), Some(&obs)).unwrap();
     (obs, out)
 }
 
@@ -102,7 +102,7 @@ fn parallel_profile_trace_is_byte_identical_across_runs() {
         let path = temp(tag);
         cmd_instrument("octarine", &path).unwrap();
         let obs = fresh_obs();
-        cmd_profile_observed(&path, &scenarios, 4, Some(&obs)).unwrap();
+        cmd_profile(&path, &scenarios, 4, Some(&obs)).unwrap();
         exports.push((
             obs.tracer.export_chrome_json(),
             obs.registry.snapshot_json(),
@@ -125,11 +125,11 @@ fn parallel_profile_trace_is_byte_identical_across_runs() {
 #[test]
 fn disabled_observability_leaves_the_run_report_unchanged() {
     let path = realized_image("zero");
-    let plain = cmd_run(&path, "o_oldtb3", "ethernet", &run_faults()).unwrap();
+    let plain = cmd_run(&path, "o_oldtb3", "ethernet", &run_faults(), None).unwrap();
 
     // A disabled bundle records no trace and must not perturb the report.
     let disabled = Obs::disabled();
-    let off = cmd_run_observed(
+    let off = cmd_run(
         &path,
         "o_oldtb3",
         "ethernet",
@@ -153,10 +153,10 @@ fn chrome_trace_is_valid_and_covers_every_pipeline_phase() {
     let path = temp("schema");
     let obs = fresh_obs();
     cmd_instrument("octarine", &path).unwrap();
-    cmd_profile_observed(&path, &["o_oldtb3"], 1, Some(&obs)).unwrap();
-    cmd_analyze_observed(&path, "ethernet", Some(&obs)).unwrap();
-    cmd_run_observed(&path, "o_oldtb3", "ethernet", &run_faults(), Some(&obs)).unwrap();
-    cmd_sweep_observed(&path, true, Some(&obs)).unwrap();
+    cmd_profile(&path, &["o_oldtb3"], 1, Some(&obs)).unwrap();
+    cmd_analyze(&path, "ethernet", Some(&obs)).unwrap();
+    cmd_run(&path, "o_oldtb3", "ethernet", &run_faults(), Some(&obs)).unwrap();
+    cmd_sweep(&path, true, Some(&obs)).unwrap();
 
     let trace = obs.tracer.export_chrome_json();
     let summary = validate_chrome_trace(&trace).expect("pipeline trace validates");
@@ -313,7 +313,7 @@ fn serve_session_trace_is_sampled_valid_and_jobs_independent() {
     let dir = std::env::temp_dir().join(format!("coign_obs_serve_{}", std::process::id()));
     cmd_gen(42, GenSize::Small, Some(&dir), true).expect("gen:42 emits an image");
     let img = dir.join("gen-42-small.cimg");
-    cmd_profile(&img, &["g_main"], 1).expect("gen:42 profiles g_main");
+    cmd_profile(&img, &["g_main"], 1, None).expect("gen:42 profiles g_main");
     let render = |jobs: usize| {
         let obs = fresh_obs();
         let opts = ServeCliOptions {
@@ -322,8 +322,7 @@ fn serve_session_trace_is_sampled_valid_and_jobs_independent() {
             trace_sample: 100,
             ..ServeCliOptions::default()
         };
-        let out = cmd_serve_observed(&img, "g_main", "ethernet", &opts, Some(&obs))
-            .expect("serve succeeds");
+        let out = cmd_serve(&img, "g_main", "ethernet", &opts, Some(&obs)).expect("serve succeeds");
         (out, obs.tracer.export_chrome_json())
     };
     let (out_one, trace_one) = render(1);
@@ -353,7 +352,7 @@ fn serve_session_trace_is_sampled_valid_and_jobs_independent() {
         sessions: 2_000,
         ..ServeCliOptions::default()
     };
-    cmd_serve_observed(&img, "g_main", "ethernet", &opts, Some(&obs)).expect("serve succeeds");
+    cmd_serve(&img, "g_main", "ethernet", &opts, Some(&obs)).expect("serve succeeds");
     std::fs::remove_dir_all(&dir).ok();
     let summary = validate_chrome_trace(&obs.tracer.export_chrome_json())
         .expect("unsampled serve trace validates");

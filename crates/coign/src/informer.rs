@@ -171,34 +171,10 @@ pub struct ProfilingInvoker {
 }
 
 impl ProfilingInvoker {
-    /// Wraps a pointer with profiling instrumentation.
+    /// Wraps a pointer with the profiling informer. `obs` adds
+    /// marshal-cache-miss instants; `crosscheck` is the COIGN045
+    /// state-effect sink for declared-read-only calls.
     pub fn wrap(
-        ptr: InterfacePtr,
-        classifier: Arc<InstanceClassifier>,
-        logger: Arc<dyn InfoLogger>,
-        overhead: Arc<OverheadMeter>,
-        cache: Arc<SizeCache>,
-    ) -> InterfacePtr {
-        Self::wrap_observed(ptr, classifier, logger, overhead, cache, None)
-    }
-
-    /// Wraps a pointer with profiling instrumentation that additionally
-    /// reports to an observability bundle.
-    pub fn wrap_observed(
-        ptr: InterfacePtr,
-        classifier: Arc<InstanceClassifier>,
-        logger: Arc<dyn InfoLogger>,
-        overhead: Arc<OverheadMeter>,
-        cache: Arc<SizeCache>,
-        obs: Option<Obs>,
-    ) -> InterfacePtr {
-        Self::wrap_crosschecked(ptr, classifier, logger, overhead, cache, obs, None)
-    }
-
-    /// Wraps a pointer with the full profiling informer: observability plus
-    /// the COIGN045 state-effect cross-check sink.
-    #[allow(clippy::too_many_arguments)]
-    pub fn wrap_crosschecked(
         ptr: InterfacePtr,
         classifier: Arc<InstanceClassifier>,
         logger: Arc<dyn InfoLogger>,
@@ -367,41 +343,11 @@ pub struct DistributionInvoker {
 
 impl DistributionInvoker {
     /// Wraps a pointer with the lightweight distributed-execution proxy.
+    /// `drift` counts messages for usage-drift detection; `recovery` is
+    /// the self-healing coordinator consulted on transport failures; `obs`
+    /// turns every cut-crossing call into an `icc_call` tracer instant and
+    /// a flight-recorder entry, and a dying call dumps the recorder.
     pub fn wrap(
-        ptr: InterfacePtr,
-        transport: Arc<Transport>,
-        overhead: Arc<OverheadMeter>,
-    ) -> InterfacePtr {
-        Self::wrap_with_drift(ptr, transport, overhead, None)
-    }
-
-    /// Wraps a pointer, additionally counting messages for drift detection.
-    pub fn wrap_with_drift(
-        ptr: InterfacePtr,
-        transport: Arc<Transport>,
-        overhead: Arc<OverheadMeter>,
-        drift: Option<(Arc<InstanceClassifier>, Arc<DriftMonitor>)>,
-    ) -> InterfacePtr {
-        Self::wrap_observed(ptr, transport, overhead, drift, None)
-    }
-
-    /// Wraps a pointer with drift counting and an observability bundle:
-    /// every cut-crossing call becomes an `icc_call` tracer instant and a
-    /// flight-recorder entry, and a dying call dumps the recorder.
-    pub fn wrap_observed(
-        ptr: InterfacePtr,
-        transport: Arc<Transport>,
-        overhead: Arc<OverheadMeter>,
-        drift: Option<(Arc<InstanceClassifier>, Arc<DriftMonitor>)>,
-        obs: Option<Obs>,
-    ) -> InterfacePtr {
-        Self::wrap_recovering(ptr, transport, overhead, drift, None, obs)
-    }
-
-    /// Wraps a pointer with the full self-healing proxy: drift counting,
-    /// observability, and a recovery coordinator consulted on transport
-    /// failures. With `recovery: None` this is exactly [`DistributionInvoker::wrap_observed`].
-    pub fn wrap_recovering(
         ptr: InterfacePtr,
         transport: Arc<Transport>,
         overhead: Arc<OverheadMeter>,
@@ -687,7 +633,15 @@ mod tests {
         let raw = rt.create_instance(clsid, iid).unwrap();
         classifier.classify_instance(&rt, raw.owner(), clsid);
         let cache = Arc::new(SizeCache::new());
-        let ptr = ProfilingInvoker::wrap(raw, classifier, logger.clone(), overhead.clone(), cache);
+        let ptr = ProfilingInvoker::wrap(
+            raw,
+            classifier,
+            logger.clone(),
+            overhead.clone(),
+            cache,
+            None,
+            None,
+        );
 
         let mut msg = Message::new(vec![Value::Blob(1000), Value::Null]);
         ptr.call(&rt, 0, &mut msg).unwrap();
@@ -719,6 +673,8 @@ mod tests {
             logger.clone(),
             overhead.clone(),
             cache.clone(),
+            None,
+            None,
         );
 
         // First call walks both directions (10 KB in, 20 KB echoed back).
@@ -764,6 +720,8 @@ mod tests {
             logger.clone(),
             overhead,
             Arc::new(SizeCache::new()),
+            None,
+            None,
         );
 
         let mut msg = Message::new(vec![Value::Opaque(0xbeef)]);
@@ -783,7 +741,7 @@ mod tests {
         let transport = Arc::new(Transport::new(NetworkModel::ethernet_10baset(), 1));
         let overhead = Arc::new(OverheadMeter::new());
         let raw = rt.create_instance(clsid, iid).unwrap(); // client, as is the root caller
-        let ptr = DistributionInvoker::wrap(raw, transport, overhead.clone());
+        let ptr = DistributionInvoker::wrap(raw, transport, overhead.clone(), None, None, None);
         let mut msg = Message::new(vec![Value::Blob(100), Value::Null]);
         ptr.call(&rt, 0, &mut msg).unwrap();
         assert_eq!(rt.stats().messages, 0);
@@ -800,7 +758,7 @@ mod tests {
         let raw = rt
             .create_direct(clsid, iid, Some(MachineId::SERVER))
             .unwrap();
-        let ptr = DistributionInvoker::wrap(raw, transport, overhead);
+        let ptr = DistributionInvoker::wrap(raw, transport, overhead, None, None, None);
         let mut msg = Message::new(vec![Value::Blob(10_000), Value::Null]);
         ptr.call(&rt, 0, &mut msg).unwrap();
         let stats = rt.stats();
@@ -826,7 +784,14 @@ mod tests {
         let raw = rt
             .create_direct(clsid, iid, Some(MachineId::SERVER))
             .unwrap();
-        let ptr = DistributionInvoker::wrap(raw, transport, Arc::new(OverheadMeter::new()));
+        let ptr = DistributionInvoker::wrap(
+            raw,
+            transport,
+            Arc::new(OverheadMeter::new()),
+            None,
+            None,
+            None,
+        );
         let mut msg = Message::new(vec![Value::Opaque(1)]);
         let err = ptr.call(&rt, 0, &mut msg).unwrap_err();
         assert!(matches!(err, ComError::NotRemotable { .. }));
@@ -867,11 +832,13 @@ mod tests {
             .create_direct(clsid, iid, Some(MachineId::SERVER))
             .unwrap();
         classifier.classify_instance(&rt, raw.owner(), clsid);
-        let ptr = DistributionInvoker::wrap_with_drift(
+        let ptr = DistributionInvoker::wrap(
             raw,
             transport.clone(),
             Arc::new(OverheadMeter::new()),
             Some((classifier, monitor.clone())),
+            None,
+            None,
         );
 
         let mut msg = Message::new(vec![Value::Blob(1_000), Value::Null]);
@@ -937,7 +904,7 @@ mod tests {
         let check = Arc::new(EffectCrossCheck::new());
         let raw = rt.create_instance(clsid, iid).unwrap();
         classifier.classify_instance(&rt, raw.owner(), clsid);
-        let ptr = ProfilingInvoker::wrap_crosschecked(
+        let ptr = ProfilingInvoker::wrap(
             raw,
             classifier,
             Arc::new(ProfilingLogger::new()),
@@ -1004,7 +971,7 @@ mod tests {
         let check = Arc::new(EffectCrossCheck::new());
         let raw = rt.create_instance(clsid, iid).unwrap();
         classifier.classify_instance(&rt, raw.owner(), clsid);
-        let ptr = ProfilingInvoker::wrap_crosschecked(
+        let ptr = ProfilingInvoker::wrap(
             raw,
             classifier,
             Arc::new(ProfilingLogger::new()),

@@ -62,11 +62,14 @@ pub mod sweep;
 pub use analysis::{analyze, Distribution};
 pub use application::Application;
 pub use classifier::{ClassificationId, ClassifierKind, Descriptor, InstanceClassifier};
+/// The observability bundle [`RunOptions::obs`] and the profiling entry
+/// points take, re-exported so callers need no direct `coign-obs` dependency.
+pub use coign_obs::Obs;
 pub use profile::IccProfile;
 pub use recovery::{RecoveryConfig, RecoveryCoordinator, RecoveryEvent, RecoveryTrigger};
 pub use rte::{CoignRte, FallbackEvent};
 pub use runtime::{
-    run_default, run_distributed, run_distributed_faulty, run_distributed_recovering,
-    run_distributed_recovering_observed, run_raw, FaultReport, RecoveryRun, RunReport,
+    execute_distributed, run_default, run_distributed, run_distributed_recovering, run_raw,
+    DistributedRun, FaultReport, RecoveryRun, RunOptions, RunReport,
 };
 pub use serve::{serve, ServeOptions, ServeReport};

@@ -102,19 +102,10 @@ impl CoignRte {
         }
     }
 
-    /// Creates a distributed-mode RTE realizing the given placement.
+    /// Creates a distributed-mode RTE realizing the given placement,
+    /// additionally counting messages for usage-drift detection when given
+    /// a drift monitor.
     pub fn distributed(
-        classifier: Arc<InstanceClassifier>,
-        logger: Arc<dyn InfoLogger>,
-        factory: ComponentFactory,
-        transport: Arc<Transport>,
-    ) -> Self {
-        Self::distributed_with_monitor(classifier, logger, factory, transport, None)
-    }
-
-    /// Creates a distributed-mode RTE that additionally counts messages for
-    /// usage-drift detection.
-    pub fn distributed_with_monitor(
         classifier: Arc<InstanceClassifier>,
         logger: Arc<dyn InfoLogger>,
         factory: ComponentFactory,
@@ -298,7 +289,7 @@ impl RuntimeHook for CoignRte {
             self.logger.log_interface_created(ptr.owner(), ptr.iid());
         }
         match &self.mode {
-            RteMode::Profiling => ProfilingInvoker::wrap_crosschecked(
+            RteMode::Profiling => ProfilingInvoker::wrap(
                 ptr,
                 self.classifier.clone(),
                 self.logger.clone(),
@@ -309,7 +300,7 @@ impl RuntimeHook for CoignRte {
             ),
             RteMode::Distributed {
                 transport, drift, ..
-            } => DistributionInvoker::wrap_recovering(
+            } => DistributionInvoker::wrap(
                 ptr,
                 transport.clone(),
                 self.overhead.clone(),
@@ -453,6 +444,7 @@ mod tests {
             Arc::new(crate::logger::NullLogger),
             factory,
             transport,
+            None,
         ));
         rt2.add_hook(rte2.clone());
 
@@ -519,6 +511,7 @@ mod tests {
             Arc::new(crate::logger::NullLogger),
             factory,
             transport,
+            None,
         ));
         rt2.add_hook(rte2.clone());
 

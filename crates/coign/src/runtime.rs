@@ -1,19 +1,27 @@
 //! End-to-end Coign runs: profiling, default, and distributed executions.
 //!
 //! This module assembles the pieces into the workflows of the paper's
-//! Figure 1:
+//! Figure 1. Each workflow has one body; its optional parts (worker
+//! threads, observability, topology, faults, drift, self-healing) are
+//! arguments, not twin functions:
 //!
-//! * [`profile_scenario`] — run one scenario under the profiling runtime,
-//!   returning the summarized profile and per-instance data.
-//! * [`profile_scenarios`] — run a scenario suite and merge the logs.
+//! * [`profile_scenarios_crosschecked`] — run a scenario suite under the
+//!   profiling runtime on `jobs` workers, with an optional [`Obs`], merging
+//!   the logs and collecting COIGN045 state-effect violations.
 //! * [`choose_distribution`] — the analysis step: constraints + profile +
 //!   network profile → minimum-cut distribution.
-//! * [`run_distributed`] — execute a scenario with the lightweight runtime
-//!   realizing a chosen distribution, measuring real (simulated)
-//!   communication time.
+//! * [`execute_distributed`] — execute a scenario with the lightweight
+//!   runtime realizing a chosen distribution, measuring real (simulated)
+//!   communication time; [`RunOptions`] picks the topology, fault plan,
+//!   drift baseline, self-healing runtime and observability.
 //! * [`run_default`] — execute a scenario in the application's as-shipped
 //!   distribution (for the paper's Table 4 baseline).
 //! * [`run_raw`] — execute without any instrumentation (overhead baseline).
+//!
+//! [`profile_scenario`], [`profile_scenarios`], [`run_distributed`] and
+//! [`run_distributed_recovering`] keep their signatures for the benchmark
+//! harness (`perfbench/`, a separate workspace); each is a thin call into
+//! the bodies above.
 
 use crate::analysis::{analyze, Distribution};
 use crate::application::Application;
@@ -29,7 +37,7 @@ use crate::recovery::{RecoveryConfig, RecoveryCoordinator};
 use crate::rte::CoignRte;
 use coign_com::{
     ClassRegistry, Clsid, ComError, ComResult, ComRuntime, CreateRequest, FxHashMap, InstanceId,
-    InterfacePtr, MachineId, RtStats, RuntimeHook,
+    InterfacePtr, MachineId, MachineSpec, RtStats, RuntimeHook,
 };
 use coign_dcom::{
     CallPolicy, FaultPlan, FaultStats, HealthMonitor, NetworkModel, NetworkProfile, Transport,
@@ -269,6 +277,32 @@ fn placements(rt: &ComRuntime) -> Vec<(Clsid, MachineId)> {
         .collect()
 }
 
+/// The measurements every run reports, read from the runtime at scenario
+/// end; the fault and marshal-cache counters start at zero.
+fn base_report(rt: &ComRuntime, overhead_us: u64) -> RunReport {
+    RunReport {
+        stats: rt.stats(),
+        clock_us: rt.clock().now_us(),
+        overhead_us,
+        instances_per_machine: count_per_machine(rt),
+        instance_placements: placements(rt),
+        faults: FaultReport::default(),
+        marshal_cache_hits: 0,
+        marshal_cache_misses: 0,
+    }
+}
+
+/// The report of an RTE-backed run: the base measurements plus the RTE's
+/// overhead and marshal-cache counters and the fault layer's `faults`.
+fn rte_report(rt: &ComRuntime, rte: &CoignRte, faults: FaultReport) -> RunReport {
+    RunReport {
+        faults,
+        marshal_cache_hits: rte.marshal_cache().hits(),
+        marshal_cache_misses: rte.marshal_cache().misses(),
+        ..base_report(rt, rte.overhead_us())
+    }
+}
+
 /// Result of one profiling execution.
 #[derive(Debug, Clone)]
 pub struct ProfileRun {
@@ -294,14 +328,14 @@ pub fn profile_scenario(
     scenario: &str,
     classifier: &Arc<InstanceClassifier>,
 ) -> ComResult<ProfileRun> {
-    profile_scenario_observed(app, scenario, classifier, None)
+    profile_one(app, scenario, classifier, None)
 }
 
-/// [`profile_scenario`] with an optional observability bundle: the run is
-/// wrapped in a `scenario:<name>` span, every intercepted call emits an
-/// `icc_call` instant, and the marshal-size cache's counters are added to
-/// the bundle's registry when the scenario finishes.
-pub fn profile_scenario_observed(
+/// The per-scenario profiling body. With an observability bundle the run
+/// is wrapped in a `scenario:<name>` span, marshal-cache misses become
+/// instants, and the cache's counters are added to the bundle's registry
+/// when the scenario finishes.
+fn profile_one(
     app: &dyn Application,
     scenario: &str,
     classifier: &Arc<InstanceClassifier>,
@@ -337,38 +371,18 @@ pub fn profile_scenario_observed(
         profile,
         instance_pairs,
         instance_classes,
-        report: RunReport {
-            stats: rt.stats(),
-            clock_us: rt.clock().now_us(),
-            overhead_us: rte.overhead_us(),
-            instances_per_machine: count_per_machine(&rt),
-            instance_placements: placements(&rt),
-            faults: FaultReport::default(),
-            marshal_cache_hits: rte.marshal_cache().hits(),
-            marshal_cache_misses: rte.marshal_cache().misses(),
-        },
+        report: rte_report(&rt, &rte, FaultReport::default()),
         effect_violations: rte.effect_violations(),
     })
 }
 
-/// Profiles a suite of scenarios and merges their logs.
+/// Profiles a suite of scenarios sequentially and merges their logs.
 pub fn profile_scenarios(
     app: &dyn Application,
     scenarios: &[&str],
     classifier: &Arc<InstanceClassifier>,
 ) -> ComResult<IccProfile> {
-    profile_scenarios_observed(app, scenarios, classifier, None)
-}
-
-/// [`profile_scenarios`] with an optional observability bundle threaded
-/// through each scenario run.
-pub fn profile_scenarios_observed(
-    app: &dyn Application,
-    scenarios: &[&str],
-    classifier: &Arc<InstanceClassifier>,
-    obs: Option<&Obs>,
-) -> ComResult<IccProfile> {
-    profile_scenarios_sequential(app, scenarios, classifier, obs).map(|(profile, _)| profile)
+    profile_scenarios_crosschecked(app, scenarios, classifier, 1, None).map(|(profile, _)| profile)
 }
 
 /// Sequential suite run returning the merged profile plus the deduplicated
@@ -382,57 +396,36 @@ fn profile_scenarios_sequential(
     let mut merged = IccProfile::new();
     let mut violations = std::collections::BTreeSet::new();
     for scenario in scenarios {
-        let run = profile_scenario_observed(app, scenario, classifier, obs)?;
+        let run = profile_one(app, scenario, classifier, obs)?;
         merged.merge(&run.profile);
         violations.extend(run.effect_violations);
     }
     Ok((merged, violations.into_iter().collect()))
 }
 
-/// Profiles a suite of scenarios on up to `jobs` worker threads and merges
-/// their logs in scenario order.
+/// Profiles a suite of scenarios on up to `jobs` worker threads, merges
+/// their logs in scenario order, and returns the COIGN045 state-effect
+/// violations the profiling informer's dynamic cross-check observed:
+/// declared `Pure`/`ReadsState` methods whose instance fingerprint changed
+/// across a call, deduplicated and deterministically ordered.
 ///
-/// Each scenario runs against a private classifier forked from the shared
-/// one ([`InstanceClassifier::fork`]); afterwards the forks are absorbed
-/// back — in scenario order — and each run's profile is rewritten through
-/// the resulting id translation before merging. Scenarios are therefore
-/// profiled in isolation and combined deterministically: the merged
-/// profile and the shared classifier's table come out byte-identical to a
-/// sequential [`profile_scenarios`] pass, regardless of `jobs` or thread
-/// scheduling.
-pub fn profile_scenarios_parallel(
-    app: &dyn Application,
-    scenarios: &[&str],
-    classifier: &Arc<InstanceClassifier>,
-    jobs: usize,
-) -> ComResult<IccProfile> {
-    profile_scenarios_parallel_observed(app, scenarios, classifier, jobs, None)
-}
-
-/// [`profile_scenarios_parallel`] with an optional observability bundle.
+/// With `jobs > 1` each scenario runs against a private classifier forked
+/// from the shared one ([`InstanceClassifier::fork`]); afterwards the forks
+/// are absorbed back — in scenario order — and each run's profile is
+/// rewritten through the resulting id translation before merging.
+/// Scenarios are therefore profiled in isolation and combined
+/// deterministically: the merged profile and the shared classifier's table
+/// come out byte-identical to a sequential pass, regardless of `jobs` or
+/// thread scheduling.
 ///
-/// Each worker records into a private child tracer; the children are
-/// merged back — in scenario order — together with a `classifier_fork`
-/// instant per fork (emitted up front) and a `classifier_absorb` instant
-/// per merge, so the exported trace is byte-identical across runs
-/// regardless of worker interleaving. Registry counters are shared
-/// directly: counters commute, so worker order cannot perturb them.
-pub fn profile_scenarios_parallel_observed(
-    app: &dyn Application,
-    scenarios: &[&str],
-    classifier: &Arc<InstanceClassifier>,
-    jobs: usize,
-    obs: Option<&Obs>,
-) -> ComResult<IccProfile> {
-    profile_scenarios_crosschecked(app, scenarios, classifier, jobs, obs)
-        .map(|(profile, _)| profile)
-}
-
-/// [`profile_scenarios_parallel_observed`] that also returns the COIGN045
-/// state-effect violations the profiling informer's dynamic cross-check
-/// observed: declared `Pure`/`ReadsState` methods whose instance
-/// fingerprint changed across a call. Violations are deduplicated and
-/// deterministically ordered regardless of worker interleaving.
+/// With an observability bundle each scenario runs under a
+/// `scenario:<name>` span. Parallel workers record into private child
+/// tracers; the children are merged back — in scenario order — together
+/// with a `classifier_fork` instant per fork (emitted up front) and a
+/// `classifier_absorb` instant per merge, so the exported trace is
+/// byte-identical across runs regardless of worker interleaving. Registry
+/// counters are shared directly: counters commute, so worker order cannot
+/// perturb them.
 pub fn profile_scenarios_crosschecked(
     app: &dyn Application,
     scenarios: &[&str],
@@ -477,8 +470,7 @@ pub fn profile_scenarios_crosschecked(
                 if i >= scenarios.len() {
                     break;
                 }
-                let run =
-                    profile_scenario_observed(app, scenarios[i], &forks[i], children[i].as_ref());
+                let run = profile_one(app, scenarios[i], &forks[i], children[i].as_ref());
                 *results[i].lock() = Some(run);
             });
         }
@@ -598,10 +590,177 @@ pub fn choose_distribution(
     )
 }
 
+/// The optional parts of a distributed execution, all off by default:
+/// `RunOptions::default()` is the plain [`run_distributed`] configuration
+/// (client–server topology, perfect wire, no drift counting, no
+/// self-healing, no observability).
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Machine topology, machine 0 being the client; `None` is the paper's
+    /// client–server pair. The ≥3-machine distributions of
+    /// [`crate::multiway`] run here.
+    pub topology: Option<Vec<MachineSpec>>,
+    /// How the wire misbehaves; the empty plan is a perfect wire and
+    /// produces a report identical to [`run_distributed`]'s.
+    pub faults: FaultPlan,
+    /// Retry policy at the proxy boundary.
+    pub policy: CallPolicy,
+    /// Seed of the fault RNG, independent of the jitter seed: the same
+    /// `(seed, fault_seed, plan)` triple reproduces the report byte for
+    /// byte.
+    pub fault_seed: u64,
+    /// Usage-drift baseline: the distribution informer counts messages
+    /// (cheaply) and [`DistributedRun::drift`] reports how far observed
+    /// usage drifted from this profile — the trigger for the paper's
+    /// "silently enable profiling to re-optimize" loop (§6). Not combined
+    /// with `recovery`, which counts drift against its own profile.
+    pub drift_baseline: Option<&'a IccProfile>,
+    /// The self-healing runtime over this profile: circuit breakers on the
+    /// transport, online re-partitioning when a machine dies (warm-started
+    /// from the base solve's flow snapshot), instance migration, and the
+    /// exactly-once retry protocol at the proxy. A
+    /// [`RecoveryConfig::drift_threshold`] counts drift against this
+    /// profile.
+    pub recovery: Option<(&'a IccProfile, RecoveryConfig)>,
+    /// Observability: every cut-crossing call emits an `icc_call` instant
+    /// and lands in the flight recorder, fault-layer events, breaker
+    /// transitions, recovery events and migrations are traced at their
+    /// simulated-clock time, and after the run the report's counters (plus
+    /// the coordinator's and health monitor's) are added to the registry.
+    pub obs: Option<&'a Obs>,
+}
+
+/// Result of [`execute_distributed`].
+pub struct DistributedRun {
+    /// Execution measurements.
+    pub report: RunReport,
+    /// The scenario's own result. Without recovery a failed scenario is the
+    /// call's error, so this is `Ok`; with recovery the report is produced
+    /// even when the scenario failed — under fault injection a typed
+    /// transport failure is trial data (the chaos harness classifies it),
+    /// not an abort.
+    pub outcome: ComResult<()>,
+    /// The drift monitor, when drift was counted.
+    pub drift: Option<Arc<DriftMonitor>>,
+    /// The recovery coordinator, when recovery was requested.
+    pub coordinator: Option<Arc<RecoveryCoordinator>>,
+}
+
 /// Executes a scenario with the lightweight runtime realizing
-/// `distribution`. The classifier must be the one used during profiling
+/// `distribution`: the one distributed-execution body, its optional parts
+/// chosen by `opts`. The classifier must be the one used during profiling
 /// (its descriptor table maps new instantiations onto profiled
 /// classifications).
+///
+/// The health monitor, recovery coordinator and drift monitor are built
+/// only when asked for. With recovery on an empty plan the run is
+/// bit-identical to the plain one: the health monitor is only fed on
+/// faulty paths, drift polling is clock-free until a latched fire, and no
+/// recovery ever triggers.
+pub fn execute_distributed(
+    app: &dyn Application,
+    scenario: &str,
+    classifier: &Arc<InstanceClassifier>,
+    distribution: &Distribution,
+    network: NetworkModel,
+    seed: u64,
+    opts: RunOptions<'_>,
+) -> ComResult<DistributedRun> {
+    let RunOptions {
+        topology,
+        faults,
+        policy,
+        fault_seed,
+        drift_baseline,
+        recovery,
+        obs,
+    } = opts;
+    let rt = topology.map_or_else(ComRuntime::client_server, ComRuntime::new);
+    app.register(&rt);
+    classifier.begin_execution();
+    let transport = Arc::new(Transport::with_faults(
+        network, seed, faults, policy, fault_seed,
+    ));
+    debug_assert!(
+        drift_baseline.is_none() || recovery.is_none(),
+        "drift_baseline and recovery are exclusive: recovery counts drift against its profile"
+    );
+    let drift = match &recovery {
+        Some((profile, config)) => config.drift_threshold.map(|_| *profile),
+        None => drift_baseline,
+    }
+    .map(|baseline| Arc::new(DriftMonitor::from_profile(baseline)));
+    let factory = ComponentFactory::with_class_pins(
+        distribution.placement.clone(),
+        storage_class_pins(&rt),
+        MachineId::CLIENT,
+        rt.machines().len(),
+    );
+    let mut rte = CoignRte::distributed(
+        classifier.clone(),
+        Arc::new(crate::logger::NullLogger),
+        factory,
+        transport.clone(),
+        drift.clone(),
+    );
+    if let Some(o) = obs {
+        rte = rte.with_obs(o.clone());
+    }
+    let rte = Arc::new(rte);
+    let coordinator = match recovery {
+        None => None,
+        Some((profile, config)) => {
+            let health = Arc::new(HealthMonitor::new(config.breaker));
+            transport.set_health(health.clone());
+            let graph = IccGraph::build(profile, &NetworkProfile::exact(transport.network()));
+            let coordinator = RecoveryCoordinator::new(
+                &graph,
+                &derive_constraints(app, profile),
+                rte.factory().expect("distributed-mode RTE has a factory"),
+                classifier.clone(),
+                health,
+                config
+                    .drift_threshold
+                    .zip(drift.clone())
+                    .map(|(t, m)| (m, t)),
+                obs.cloned(),
+            )?;
+            if let Some(router) = config.replicas {
+                coordinator.install_replicas(router);
+            }
+            rte.set_recovery(coordinator.clone());
+            Some(coordinator)
+        }
+    };
+    rt.add_hook(rte.clone());
+
+    let outcome = app.run_scenario(&rt, scenario);
+    if coordinator.is_none() {
+        outcome.clone()?;
+    }
+
+    let report = rte_report(
+        &rt,
+        &rte,
+        FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
+    );
+    if let Some(o) = obs {
+        report.record_metrics(&o.registry);
+        if let Some(coordinator) = &coordinator {
+            coordinator.record_metrics(&o.registry);
+            coordinator.health().record_metrics(&o.registry);
+        }
+    }
+    Ok(DistributedRun {
+        report,
+        outcome,
+        drift,
+        coordinator,
+    })
+}
+
+/// Executes a scenario on the client–server pair over a perfect wire:
+/// [`execute_distributed`] with every option off.
 pub fn run_distributed(
     app: &dyn Application,
     scenario: &str,
@@ -610,149 +769,9 @@ pub fn run_distributed(
     network: NetworkModel,
     seed: u64,
 ) -> ComResult<RunReport> {
-    run_distributed_on(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        ComRuntime::client_server(),
-        network,
-        seed,
-    )
-}
-
-/// Executes a scenario under `distribution` with usage-drift monitoring:
-/// the distribution informer counts messages (cheaply) and the returned
-/// monitor reports how far observed usage drifted from `baseline` — the
-/// trigger for the paper's "silently enable profiling to re-optimize"
-/// loop (§6).
-pub fn run_distributed_monitored(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    baseline: &IccProfile,
-    network: NetworkModel,
-    seed: u64,
-) -> ComResult<(RunReport, Arc<crate::drift::DriftMonitor>)> {
-    let rt = ComRuntime::client_server();
-    app.register(&rt);
-    classifier.begin_execution();
-    let factory = ComponentFactory::with_class_pins(
-        distribution.placement.clone(),
-        storage_class_pins(&rt),
-        MachineId::CLIENT,
-        rt.machines().len(),
-    );
-    let transport = Arc::new(Transport::new(network, seed));
-    let monitor = Arc::new(crate::drift::DriftMonitor::from_profile(baseline));
-    let rte = Arc::new(CoignRte::distributed_with_monitor(
-        classifier.clone(),
-        Arc::new(crate::logger::NullLogger),
-        factory,
-        transport.clone(),
-        Some(monitor.clone()),
-    ));
-    rt.add_hook(rte.clone());
-
-    app.run_scenario(&rt, scenario)?;
-
-    let report = RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: rte.overhead_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
-        marshal_cache_hits: rte.marshal_cache().hits(),
-        marshal_cache_misses: rte.marshal_cache().misses(),
-    };
-    Ok((report, monitor))
-}
-
-/// Executes a scenario under `distribution` on an arbitrary topology —
-/// used for the ≥3-machine distributions of [`crate::multiway`].
-pub fn run_distributed_on(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    rt: ComRuntime,
-    network: NetworkModel,
-    seed: u64,
-) -> ComResult<RunReport> {
-    run_distributed_with_transport(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        rt,
-        Arc::new(Transport::new(network, seed)),
-    )
-}
-
-/// Executes a scenario under `distribution` on a client–server topology
-/// whose wire misbehaves per `plan`, retrying per `policy`. Fault decisions
-/// are seeded by `fault_seed` independently of the jitter `seed`, so:
-///
-/// * the same `(seed, fault_seed, plan)` triple reproduces the report
-///   byte-for-byte, and
-/// * an empty plan produces a report identical to [`run_distributed`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_faulty(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    network: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-    policy: CallPolicy,
-    fault_seed: u64,
-) -> ComResult<RunReport> {
-    run_distributed_faulty_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        network,
-        seed,
-        plan,
-        policy,
-        fault_seed,
-        None,
-    )
-}
-
-/// [`run_distributed_faulty`] with an optional observability bundle: every
-/// cut-crossing call emits an `icc_call` instant and lands in the flight
-/// recorder, fault-layer events (`fault_drop`, `fault_timeout`,
-/// `fault_retry`, …) are traced at their simulated-clock time, and the
-/// report's counters are added to the bundle's registry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_faulty_observed(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    network: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-    policy: CallPolicy,
-    fault_seed: u64,
-    obs: Option<&Obs>,
-) -> ComResult<RunReport> {
-    run_distributed_with_transport_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        ComRuntime::client_server(),
-        Arc::new(Transport::with_faults(
-            network, seed, plan, policy, fault_seed,
-        )),
-        obs,
-    )
+    let opts = RunOptions::default();
+    execute_distributed(app, scenario, classifier, distribution, network, seed, opts)
+        .map(|run| run.report)
 }
 
 /// Outcome of a self-healing distributed execution.
@@ -770,14 +789,9 @@ pub struct RecoveryRun {
     pub outcome: ComResult<()>,
 }
 
-/// Executes a scenario under `distribution` with the full self-healing
-/// runtime: circuit breakers on the transport, online re-partitioning when
-/// a machine dies (warm-started from the base solve's flow snapshot),
-/// instance migration, and the exactly-once retry protocol at the proxy.
-///
-/// With an empty plan this is bit-identical to [`run_distributed`]: the
-/// health monitor is only fed on faulty paths, drift polling is clock-free
-/// until a latched fire, and no recovery ever triggers.
+/// Executes a scenario under the full self-healing runtime on a faulty
+/// client–server wire: [`execute_distributed`] with `plan`, `policy`,
+/// `fault_seed` and recovery over `profile` per `config`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_recovering(
     app: &dyn Application,
@@ -792,177 +806,19 @@ pub fn run_distributed_recovering(
     fault_seed: u64,
     config: RecoveryConfig,
 ) -> ComResult<RecoveryRun> {
-    run_distributed_recovering_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        profile,
-        network,
-        seed,
-        plan,
+    let opts = RunOptions {
+        faults: plan,
         policy,
         fault_seed,
-        config,
-        None,
-    )
-}
-
-/// [`run_distributed_recovering`] with an optional observability bundle:
-/// breaker transitions, recovery events, and migrations become tracer
-/// instants and flight-recorder entries (a recovery also dumps the
-/// recorder), and the coordinator's and health monitor's counters are
-/// added to the registry after the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_recovering_observed(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    profile: &IccProfile,
-    network: NetworkModel,
-    seed: u64,
-    plan: FaultPlan,
-    policy: CallPolicy,
-    fault_seed: u64,
-    config: RecoveryConfig,
-    obs: Option<&Obs>,
-) -> ComResult<RecoveryRun> {
-    let rt = ComRuntime::client_server();
-    app.register(&rt);
-    classifier.begin_execution();
-    let net_profile = NetworkProfile::exact(&network);
-    let transport = Arc::new(Transport::with_faults(
-        network, seed, plan, policy, fault_seed,
-    ));
-    let health = Arc::new(HealthMonitor::new(config.breaker));
-    transport.set_health(health.clone());
-    let drift = config
-        .drift_threshold
-        .map(|threshold| (Arc::new(DriftMonitor::from_profile(profile)), threshold));
-    let factory = ComponentFactory::with_class_pins(
-        distribution.placement.clone(),
-        storage_class_pins(&rt),
-        MachineId::CLIENT,
-        rt.machines().len(),
-    );
-    let mut rte = CoignRte::distributed_with_monitor(
-        classifier.clone(),
-        Arc::new(crate::logger::NullLogger),
-        factory,
-        transport.clone(),
-        drift.as_ref().map(|(monitor, _)| monitor.clone()),
-    );
-    if let Some(o) = obs {
-        rte = rte.with_obs(o.clone());
-    }
-    let rte = Arc::new(rte);
-    let factory = rte.factory().expect("distributed-mode RTE has a factory");
-    let constraints = derive_constraints(app, profile);
-    let graph = IccGraph::build(profile, &net_profile);
-    let coordinator = RecoveryCoordinator::new(
-        &graph,
-        &constraints,
-        factory,
-        classifier.clone(),
-        health,
-        drift,
-        obs.cloned(),
-    )?;
-    if let Some(router) = config.replicas {
-        coordinator.install_replicas(router);
-    }
-    rte.set_recovery(coordinator.clone());
-    rt.add_hook(rte.clone());
-
-    let outcome = app.run_scenario(&rt, scenario);
-
-    let report = RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: rte.overhead_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
-        marshal_cache_hits: rte.marshal_cache().hits(),
-        marshal_cache_misses: rte.marshal_cache().misses(),
+        recovery: Some((profile, config)),
+        ..RunOptions::default()
     };
-    if let Some(o) = obs {
-        report.record_metrics(&o.registry);
-        coordinator.record_metrics(&o.registry);
-        coordinator.health().record_metrics(&o.registry);
-    }
+    let run = execute_distributed(app, scenario, classifier, distribution, network, seed, opts)?;
     Ok(RecoveryRun {
-        report,
-        coordinator,
-        outcome,
+        report: run.report,
+        coordinator: run.coordinator.expect("recovery was requested"),
+        outcome: run.outcome,
     })
-}
-
-fn run_distributed_with_transport(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    rt: ComRuntime,
-    transport: Arc<Transport>,
-) -> ComResult<RunReport> {
-    run_distributed_with_transport_observed(
-        app,
-        scenario,
-        classifier,
-        distribution,
-        rt,
-        transport,
-        None,
-    )
-}
-
-fn run_distributed_with_transport_observed(
-    app: &dyn Application,
-    scenario: &str,
-    classifier: &Arc<InstanceClassifier>,
-    distribution: &Distribution,
-    rt: ComRuntime,
-    transport: Arc<Transport>,
-    obs: Option<&Obs>,
-) -> ComResult<RunReport> {
-    app.register(&rt);
-    classifier.begin_execution();
-    let factory = ComponentFactory::with_class_pins(
-        distribution.placement.clone(),
-        storage_class_pins(&rt),
-        MachineId::CLIENT,
-        rt.machines().len(),
-    );
-    let mut rte = CoignRte::distributed(
-        classifier.clone(),
-        Arc::new(crate::logger::NullLogger),
-        factory,
-        transport.clone(),
-    );
-    if let Some(o) = obs {
-        rte = rte.with_obs(o.clone());
-    }
-    let rte = Arc::new(rte);
-    rt.add_hook(rte.clone());
-
-    app.run_scenario(&rt, scenario)?;
-
-    let report = RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: rte.overhead_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::from_parts(transport.fault_stats(), rte.fallback_count()),
-        marshal_cache_hits: rte.marshal_cache().hits(),
-        marshal_cache_misses: rte.marshal_cache().misses(),
-    };
-    if let Some(o) = obs {
-        report.record_metrics(&o.registry);
-    }
-    Ok(report)
 }
 
 /// Places instances by *class* according to a fixed table — how an
@@ -990,7 +846,14 @@ impl RuntimeHook for StaticPlacementRte {
     }
 
     fn wrap_interface(&self, _rt: &ComRuntime, ptr: InterfacePtr) -> InterfacePtr {
-        DistributionInvoker::wrap(ptr, self.transport.clone(), self.overhead.clone())
+        DistributionInvoker::wrap(
+            ptr,
+            self.transport.clone(),
+            self.overhead.clone(),
+            None,
+            None,
+            None,
+        )
     }
 }
 
@@ -1030,16 +893,7 @@ pub fn run_default(
 
     app.run_scenario(&rt, scenario)?;
 
-    Ok(RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: overhead.total_us(),
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::default(),
-        marshal_cache_hits: 0,
-        marshal_cache_misses: 0,
-    })
+    Ok(base_report(&rt, overhead.total_us()))
 }
 
 /// Executes a scenario with no instrumentation at all (overhead baseline:
@@ -1048,16 +902,7 @@ pub fn run_raw(app: &dyn Application, scenario: &str) -> ComResult<RunReport> {
     let rt = ComRuntime::single_machine();
     app.register(&rt);
     app.run_scenario(&rt, scenario)?;
-    Ok(RunReport {
-        stats: rt.stats(),
-        clock_us: rt.clock().now_us(),
-        overhead_us: 0,
-        instances_per_machine: count_per_machine(&rt),
-        instance_placements: placements(&rt),
-        faults: FaultReport::default(),
-        marshal_cache_hits: 0,
-        marshal_cache_misses: 0,
-    })
+    Ok(base_report(&rt, 0))
 }
 
 #[cfg(test)]
@@ -1207,7 +1052,9 @@ mod tests {
         assert!(seq.total_messages() > 0);
         for jobs in [1, 2, 4, 8] {
             let par_classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-            let par = profile_scenarios_parallel(&app, &scenarios, &par_classifier, jobs).unwrap();
+            let (par, _) =
+                profile_scenarios_crosschecked(&app, &scenarios, &par_classifier, jobs, None)
+                    .unwrap();
             assert_eq!(par.encode(), seq.encode(), "profile differs at jobs={jobs}");
             assert_eq!(
                 par_classifier.encode(),
@@ -1224,9 +1071,9 @@ mod tests {
         // interned by a worker's fork.
         let app = MiniApp;
         let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-        profile_scenarios_parallel(&app, &["m_run"], &classifier, 4).unwrap();
+        profile_scenarios_crosschecked(&app, &["m_run"], &classifier, 4, None).unwrap();
         let before = classifier.classification_count();
-        profile_scenarios_parallel(&app, &["m_run", "m_direct"], &classifier, 4).unwrap();
+        profile_scenarios_crosschecked(&app, &["m_run", "m_direct"], &classifier, 4, None).unwrap();
         assert!(classifier.classification_count() > before);
     }
 

@@ -179,6 +179,7 @@ fn local_distribution_informer_call_allocates_nothing() {
         Arc::new(NullLogger),
         factory,
         transport,
+        None,
     ));
     let ptr = relay_chain(&rt, Some(rte.clone()));
     assert_eq!(steady_state_allocs(&rt, &ptr), 0);

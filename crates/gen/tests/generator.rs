@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::lint::check_app_image;
-use coign::runtime::{profile_scenarios, profile_scenarios_parallel};
+use coign::runtime::{profile_scenarios, profile_scenarios_crosschecked};
 use coign::{rewriter, Application};
 use coign_gen::{app_for_name, GenSize, GenSpec, GeneratedApp};
 
@@ -74,8 +74,9 @@ fn profiles_are_byte_identical_across_jobs() {
         for jobs in [1usize, 4] {
             let fresh = GeneratedApp::new(spec);
             let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
-            let profile = profile_scenarios_parallel(&fresh, &scenarios, &classifier, jobs)
-                .expect("parallel profile");
+            let (profile, _) =
+                profile_scenarios_crosschecked(&fresh, &scenarios, &classifier, jobs, None)
+                    .expect("parallel profile");
             assert_eq!(
                 profile.encode(),
                 base.encode(),

@@ -32,7 +32,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -125,12 +125,21 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// document (a megabyte of `[`) overflow the stack instead of failing.
+const MAX_DEPTH: usize = 256;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -148,7 +157,7 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String>
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -161,7 +170,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -180,7 +189,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -189,7 +198,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,

@@ -50,7 +50,7 @@ pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use timeseries::{SloReport, TimeSeries};
 pub use trace::{validate_chrome_trace, PhaseSpan, TraceArg, TraceSummary, Tracer};
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The bundle of observability facilities threaded through the pipeline.
 ///
@@ -90,23 +90,6 @@ impl Obs {
     pub fn is_enabled(&self) -> bool {
         self.tracer.is_enabled()
     }
-}
-
-static GLOBAL: OnceLock<Obs> = OnceLock::new();
-
-/// Installs the process-global observability bundle.
-///
-/// The first installation wins; returns `false` if a bundle was already
-/// installed. The CLI installs one per process when `--trace` or
-/// `--metrics` is passed; library code should prefer explicitly threaded
-/// [`Obs`] handles so tests stay isolated.
-pub fn install_global(obs: Obs) -> bool {
-    GLOBAL.set(obs).is_ok()
-}
-
-/// The process-global bundle, if one was installed.
-pub fn global() -> Option<&'static Obs> {
-    GLOBAL.get()
 }
 
 #[cfg(test)]

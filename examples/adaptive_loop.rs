@@ -13,7 +13,9 @@
 //! Run with: `cargo run --release --example adaptive_loop`
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
-use coign::runtime::{choose_distribution, profile_scenario, run_distributed_monitored};
+use coign::runtime::{
+    choose_distribution, execute_distributed, profile_scenario, run_distributed, RunOptions,
+};
 use coign_apps::Octarine;
 use coign_dcom::{NetworkModel, NetworkProfile};
 use std::sync::Arc;
@@ -37,16 +39,21 @@ fn main() {
     // Days 2..: the user's workload shifts. Each execution runs under the
     // current distribution with cheap message counting.
     for (day, scenario) in [(2, "o_oldwp0"), (3, "o_oldtb3"), (4, "o_oldtb3")] {
-        let (report, monitor) = run_distributed_monitored(
+        let opts = RunOptions {
+            drift_baseline: Some(&baseline),
+            ..RunOptions::default()
+        };
+        let run = execute_distributed(
             &app,
             scenario,
             &classifier,
             &distribution,
-            &baseline,
             NetworkModel::ethernet_10baset(),
             day,
+            opts,
         )
         .expect("distributed run");
+        let (report, monitor) = (run.report, run.drift.expect("drift is counted"));
         let drift = monitor.drift();
         println!(
             "day {day}: ran {scenario:>9}, communication {:.3} s, usage drift {:.2}",
@@ -60,12 +67,11 @@ fn main() {
                 .expect("re-profiling")
                 .profile;
             distribution = choose_distribution(&app, &baseline, &network).expect("re-analysis");
-            let (fresh, _) = run_distributed_monitored(
+            let fresh = run_distributed(
                 &app,
                 scenario,
                 &classifier,
                 &distribution,
-                &baseline,
                 NetworkModel::ethernet_10baset(),
                 day + 100,
             )

@@ -17,6 +17,12 @@ echo "==> cargo build --release --workspace"
 # run stale `target/release/coign` / `perfsuite` binaries.
 cargo build --release --workspace
 
+echo "==> cargo build perfbench (the benchmark's own workspace)"
+# perfbench is a workspace of its own and the only consumer of the pinned
+# runtime entry points outside this one; nothing else compiles it, so build
+# it here to catch an API break before the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace (empty TMPDIR)"
 # Each run gets an empty TMPDIR, so a test that passes only on state some
 # other process left behind (such as a profiled shared `gen:` image) fails

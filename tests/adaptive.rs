@@ -4,8 +4,9 @@
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::multiway::{analyze_multiway, derive_tier_constraints, MultiwayConstraint};
 use coign::runtime::{
-    choose_distribution, profile_scenario, run_distributed_monitored, run_distributed_on,
+    choose_distribution, execute_distributed, profile_scenario, DistributedRun, RunOptions,
 };
+use coign::{Distribution, IccProfile};
 use coign_apps::{Benefits, Octarine};
 use coign_com::{ComRuntime, MachineId, MachineSpec};
 use coign_dcom::{NetworkModel, NetworkProfile};
@@ -15,6 +16,23 @@ use coign::application::Application;
 
 fn network() -> NetworkProfile {
     NetworkProfile::exact(&NetworkModel::ethernet_10baset())
+}
+
+/// Runs `scenario` under `dist` on 10BaseT, counting usage drift against
+/// `baseline`.
+fn run_monitored(
+    scenario: &str,
+    classifier: &Arc<InstanceClassifier>,
+    dist: &Distribution,
+    baseline: &IccProfile,
+    seed: u64,
+) -> DistributedRun {
+    let opts = RunOptions {
+        drift_baseline: Some(baseline),
+        ..RunOptions::default()
+    };
+    let network = NetworkModel::ethernet_10baset();
+    execute_distributed(&Octarine, scenario, classifier, dist, network, seed, opts).unwrap()
 }
 
 /// Running the profiled scenario again shows little drift; running a
@@ -27,28 +45,14 @@ fn drift_detects_changed_usage() {
     let run = profile_scenario(&app, "o_oldwp0", &classifier).unwrap();
     let dist = choose_distribution(&app, &run.profile, &network()).unwrap();
 
-    let (_, same_monitor) = run_distributed_monitored(
-        &app,
-        "o_oldwp0",
-        &classifier,
-        &dist,
-        &run.profile,
-        NetworkModel::ethernet_10baset(),
-        3,
-    )
-    .unwrap();
+    let same_monitor = run_monitored("o_oldwp0", &classifier, &dist, &run.profile, 3)
+        .drift
+        .unwrap();
     let same_drift = same_monitor.drift();
 
-    let (_, changed_monitor) = run_distributed_monitored(
-        &app,
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        &run.profile,
-        NetworkModel::ethernet_10baset(),
-        3,
-    )
-    .unwrap();
+    let changed_monitor = run_monitored("o_oldtb3", &classifier, &dist, &run.profile, 3)
+        .drift
+        .unwrap();
     let changed_drift = changed_monitor.drift();
 
     assert!(
@@ -74,31 +78,16 @@ fn drift_triggers_profitable_reoptimization() {
     let old_dist = choose_distribution(&app, &old_run.profile, &network()).unwrap();
 
     // ...but the user now works with the 150-page table.
-    let (stale_report, monitor) = run_distributed_monitored(
-        &app,
-        "o_oldtb3",
-        &classifier,
-        &old_dist,
-        &old_run.profile,
-        NetworkModel::ethernet_10baset(),
-        4,
-    )
-    .unwrap();
+    let stale = run_monitored("o_oldtb3", &classifier, &old_dist, &old_run.profile, 4);
+    let stale_report = stale.report;
+    let monitor = stale.drift.unwrap();
     assert!(monitor.should_reprofile(0.2), "drift {}", monitor.drift());
 
     // Re-profile and re-optimize for the observed usage.
     let new_run = profile_scenario(&app, "o_oldtb3", &classifier).unwrap();
     let new_dist = choose_distribution(&app, &new_run.profile, &network()).unwrap();
-    let (fresh_report, _) = run_distributed_monitored(
-        &app,
-        "o_oldtb3",
-        &classifier,
-        &new_dist,
-        &new_run.profile,
-        NetworkModel::ethernet_10baset(),
-        4,
-    )
-    .unwrap();
+    let fresh_report =
+        run_monitored("o_oldtb3", &classifier, &new_dist, &new_run.profile, 4).report;
 
     assert!(
         fresh_report.stats.comm_us * 5 < stale_report.stats.comm_us,
@@ -142,21 +131,19 @@ fn benefits_runs_distributed_across_three_machines() {
     let dist = analyze_multiway(&run.profile, &network(), &constraints, 3).unwrap();
 
     // Execute on a real three-machine topology.
-    let topology = ComRuntime::new(vec![
+    let topology = vec![
         MachineSpec::new("client", 1.0),
         MachineSpec::new("middle", 1.0),
         MachineSpec::new("dbserver", 1.0),
-    ]);
-    let report = run_distributed_on(
-        &app,
-        "b_vueone",
-        &classifier,
-        &dist,
-        topology,
-        NetworkModel::ethernet_10baset(),
-        8,
-    )
-    .unwrap();
+    ];
+    let opts = RunOptions {
+        topology: Some(topology),
+        ..RunOptions::default()
+    };
+    let network = NetworkModel::ethernet_10baset();
+    let report = execute_distributed(&app, "b_vueone", &classifier, &dist, network, 8, opts)
+        .unwrap()
+        .report;
 
     // All three machines host something, and communication was charged.
     assert_eq!(report.instances_per_machine.len(), 3);

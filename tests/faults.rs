@@ -8,20 +8,43 @@
 //! 1. same fault seed ⇒ byte-identical run report, twice in a row;
 //! 2. a machine-death scenario completes via local fallback, with the
 //!    fallback recorded in the report;
-//! 3. a zero-fault plan produces a report identical to a run without the
-//!    fault layer at all.
+//! 3. every "nothing enabled" configuration of the general distributed
+//!    entry point — a zero-fault plan, drift counting, the self-healing
+//!    runtime with and without observability — produces a report identical
+//!    to a run without the fault layer at all, on every Table 1 scenario.
 
 use coign::classifier::{ClassifierKind, InstanceClassifier};
 use coign::runtime::{
-    choose_distribution, profile_scenario, run_distributed, run_distributed_faulty,
+    choose_distribution, execute_distributed, profile_scenario, run_distributed, RunOptions,
 };
-use coign::Distribution;
-use coign_apps::scenarios::app_by_name;
-use coign_com::{ComError, MachineId};
+use coign::{Application, Distribution, Obs, RecoveryConfig, RunReport};
+use coign_apps::scenarios::{all_scenarios, app_by_name};
+use coign_com::{ComError, ComResult, MachineId};
 use coign_dcom::{CallPolicy, FaultPlan, NetworkModel, NetworkProfile, TimeWindow};
 use std::sync::Arc;
 
 const SEED: u64 = 7;
+
+/// Runs `o_oldtb3` under `dist` over a client–server wire that misbehaves
+/// per `plan`, retrying per `policy`.
+fn run_faulty(
+    app: &dyn Application,
+    classifier: &Arc<InstanceClassifier>,
+    dist: &Distribution,
+    plan: FaultPlan,
+    policy: CallPolicy,
+    fault_seed: u64,
+) -> ComResult<RunReport> {
+    let opts = RunOptions {
+        faults: plan,
+        policy,
+        fault_seed,
+        ..RunOptions::default()
+    };
+    let network = NetworkModel::ethernet_10baset();
+    execute_distributed(app, "o_oldtb3", classifier, dist, network, SEED, opts)
+        .map(|run| run.report)
+}
 
 /// Profiles one octarine scenario and chooses its ethernet distribution.
 fn prepared_octarine(
@@ -55,13 +78,10 @@ fn same_fault_seed_reproduces_the_report_byte_for_byte() {
     let (app, classifier, dist) = prepared_octarine("o_oldtb3");
     let plan = FaultPlan::none().with_loss(0.05);
     let run = |fault_seed| {
-        run_distributed_faulty(
+        run_faulty(
             app.as_ref(),
-            "o_oldtb3",
             &classifier,
             &dist,
-            NetworkModel::ethernet_10baset(),
-            SEED,
             plan.clone(),
             CallPolicy::default(),
             fault_seed,
@@ -89,18 +109,8 @@ fn machine_death_completes_via_recorded_local_fallback() {
     let (app, classifier, dist) = prepared_octarine("o_oldtb3");
     // The server never comes up at all.
     let plan = FaultPlan::none().with_machine_down(MachineId::SERVER, TimeWindow::ALWAYS);
-    let report = run_distributed_faulty(
-        app.as_ref(),
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        NetworkModel::ethernet_10baset(),
-        SEED,
-        plan,
-        strict_policy(),
-        1,
-    )
-    .expect("scenario completes despite the dead server");
+    let report = run_faulty(app.as_ref(), &classifier, &dist, plan, strict_policy(), 1)
+        .expect("scenario completes despite the dead server");
     // Every server-bound instantiation degraded to the client...
     assert!(report.faults.fallbacks > 0, "fallbacks must be recorded");
     assert!(report
@@ -118,32 +128,75 @@ fn machine_death_completes_via_recorded_local_fallback() {
 
 #[test]
 fn zero_fault_plan_is_identical_to_no_fault_layer() {
-    let (app, classifier, dist) = prepared_octarine("o_oldtb3");
-    let plain = run_distributed(
-        app.as_ref(),
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        NetworkModel::ethernet_10baset(),
-        SEED,
-    )
-    .unwrap();
-    let faultless = run_distributed_faulty(
-        app.as_ref(),
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        NetworkModel::ethernet_10baset(),
-        SEED,
-        FaultPlan::none(),
-        CallPolicy::default(),
-        // The fault seed must be irrelevant when no faults are scheduled.
-        0xDEAD_BEEF,
-    )
-    .unwrap();
-    assert_eq!(plain, faultless);
-    assert!(faultless.faults.is_clean());
-    assert_eq!(plain.summary(), faultless.summary());
+    let network = NetworkProfile::measure(&NetworkModel::ethernet_10baset(), 20, 99);
+    for scenario in all_scenarios() {
+        let app = app_by_name(scenario.app).unwrap();
+        let app = app.as_ref();
+        let name = scenario.name;
+        let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
+        let profile = profile_scenario(app, name, &classifier).unwrap().profile;
+        let dist = choose_distribution(app, &profile, &network).unwrap();
+        let execute = |opts: RunOptions<'_>| {
+            let ethernet = NetworkModel::ethernet_10baset();
+            execute_distributed(app, name, &classifier, &dist, ethernet, SEED, opts).unwrap()
+        };
+        let plain = run_distributed(
+            app,
+            name,
+            &classifier,
+            &dist,
+            NetworkModel::ethernet_10baset(),
+            SEED,
+        )
+        .unwrap();
+        let obs = Obs::enabled();
+        // Every configuration that schedules no fault: none may perturb
+        // the run by a single byte of its summary.
+        let configurations = [
+            (
+                "empty fault plan",
+                RunOptions {
+                    // The fault seed must be irrelevant when no faults are
+                    // scheduled.
+                    fault_seed: 0xDEAD_BEEF,
+                    ..RunOptions::default()
+                },
+            ),
+            (
+                "drift baseline",
+                RunOptions {
+                    drift_baseline: Some(&profile),
+                    ..RunOptions::default()
+                },
+            ),
+            (
+                "recovery",
+                RunOptions {
+                    recovery: Some((&profile, RecoveryConfig::default())),
+                    ..RunOptions::default()
+                },
+            ),
+            (
+                "recovery + obs",
+                RunOptions {
+                    recovery: Some((&profile, RecoveryConfig::default())),
+                    obs: Some(&obs),
+                    ..RunOptions::default()
+                },
+            ),
+        ];
+        for (label, opts) in configurations {
+            let run = execute(opts);
+            assert_eq!(run.outcome, Ok(()), "{name} under {label}: scenario failed");
+            assert!(run.report.faults.is_clean(), "{name} under {label}");
+            assert_eq!(run.report, plain, "{name} under {label}: report differs");
+            assert_eq!(
+                run.report.summary(),
+                plain.summary(),
+                "{name} under {label}: summary differs from run_distributed"
+            );
+        }
+    }
 }
 
 #[test]
@@ -159,18 +212,8 @@ fn healed_partition_retries_then_succeeds_with_exact_timing() {
         MachineId::SERVER,
         TimeWindow::new(0, 30_000),
     );
-    let report = run_distributed_faulty(
-        app.as_ref(),
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        NetworkModel::ethernet_10baset(),
-        SEED,
-        plan,
-        strict_policy(),
-        1,
-    )
-    .expect("partition heals inside the retry budget");
+    let report = run_faulty(app.as_ref(), &classifier, &dist, plan, strict_policy(), 1)
+        .expect("partition heals inside the retry budget");
     assert!(report.faults.timeouts > 0);
     assert!(report.faults.retries > 0);
     assert_eq!(report.faults.failed_calls, 0);
@@ -188,18 +231,8 @@ fn unhealed_partition_surfaces_a_typed_error() {
     let (app, classifier, dist) = prepared_octarine("o_oldtb3");
     let plan =
         FaultPlan::none().with_partition(MachineId::CLIENT, MachineId::SERVER, TimeWindow::ALWAYS);
-    let err = run_distributed_faulty(
-        app.as_ref(),
-        "o_oldtb3",
-        &classifier,
-        &dist,
-        NetworkModel::ethernet_10baset(),
-        SEED,
-        plan,
-        strict_policy(),
-        1,
-    )
-    .expect_err("an unhealed partition must fail the scenario");
+    let err = run_faulty(app.as_ref(), &classifier, &dist, plan, strict_policy(), 1)
+        .expect_err("an unhealed partition must fail the scenario");
     assert!(
         matches!(err, ComError::Partitioned { .. }),
         "expected Partitioned, got {err:?}"
@@ -210,13 +243,10 @@ fn unhealed_partition_surfaces_a_typed_error() {
 fn latency_spike_slows_the_run_without_changing_traffic() {
     let (app, classifier, dist) = prepared_octarine("o_oldtb3");
     let run = |plan: FaultPlan| {
-        run_distributed_faulty(
+        run_faulty(
             app.as_ref(),
-            "o_oldtb3",
             &classifier,
             &dist,
-            NetworkModel::ethernet_10baset(),
-            SEED,
             plan,
             CallPolicy::default(),
             1,
@@ -243,13 +273,10 @@ fn parsed_plan_behaves_like_the_built_plan() {
     let built = FaultPlan::none().with_machine_down(MachineId::SERVER, TimeWindow::from(0));
     let parsed = FaultPlan::parse("down 1 0..\n").unwrap();
     let run = |plan: FaultPlan| {
-        run_distributed_faulty(
+        run_faulty(
             app.as_ref(),
-            "o_oldtb3",
             &classifier,
             &dist,
-            NetworkModel::ethernet_10baset(),
-            SEED,
             plan,
             CallPolicy::default(),
             1,
