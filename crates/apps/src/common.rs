@@ -13,7 +13,9 @@
 //!   from shared code while keeping distinct COM identities.
 //! * [`FileStore`] — the data file on the server: page-oriented reads plus
 //!   named streams, `STORAGE`-importing (so static analysis pins it).
-//! * Interface definitions shared across the suite.
+//! * Interface definitions shared across the suite, each built once per
+//!   process: dozens of widget classes declare the same `IWidget` and
+//!   `IWindowSite`, and every registration hands out the same `Arc`.
 
 use coign_com::idl::{InterfaceBuilder, InterfaceDesc};
 use coign_com::{
@@ -21,7 +23,7 @@ use coign_com::{
     Message, PType, Value,
 };
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// `IWidget`: the uniform GUI-component interface.
 ///
@@ -32,34 +34,42 @@ use std::sync::Arc;
 /// call-chain classifiers their hardest cases: the same procedures executed
 /// by *different instances*.
 pub fn iwidget() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IWidget")
-        .method("Build", |m| {
-            m.input("site", PType::Interface(Iid::from_name("IWindowSite")))
-        })
-        .method("Paint", |m| m.output("pixels", PType::I4))
-        .method("OnIdle", |m| {
-            m.input("theme", PType::Interface(Iid::from_name("ITheme")))
-        })
-        .method("RefreshA", |m| {
-            m.input("theme", PType::Interface(Iid::from_name("ITheme")))
-        })
-        .method("RefreshB", |m| {
-            m.input("theme", PType::Interface(Iid::from_name("ITheme")))
-        })
-        .method("RegisterIdle", |m| {
-            m.input("loop", PType::Interface(Iid::from_name("IIdleLoop")))
-        })
-        .build()
+    static DESC: OnceLock<Arc<InterfaceDesc>> = OnceLock::new();
+    DESC.get_or_init(|| {
+        InterfaceBuilder::new("IWidget")
+            .method("Build", |m| {
+                m.input("site", PType::Interface(Iid::from_name("IWindowSite")))
+            })
+            .method("Paint", |m| m.output("pixels", PType::I4))
+            .method("OnIdle", |m| {
+                m.input("theme", PType::Interface(Iid::from_name("ITheme")))
+            })
+            .method("RefreshA", |m| {
+                m.input("theme", PType::Interface(Iid::from_name("ITheme")))
+            })
+            .method("RefreshB", |m| {
+                m.input("theme", PType::Interface(Iid::from_name("ITheme")))
+            })
+            .method("RegisterIdle", |m| {
+                m.input("loop", PType::Interface(Iid::from_name("IIdleLoop")))
+            })
+            .build()
+    })
+    .clone()
 }
 
 /// `IIdleLoop`: background-callback dispatcher.
 pub fn iidle_loop() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IIdleLoop")
-        .method("Register", |m| {
-            m.input("sink", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .method("Pump", |m| m.input("rounds", PType::I4))
-        .build()
+    static DESC: OnceLock<Arc<InterfaceDesc>> = OnceLock::new();
+    DESC.get_or_init(|| {
+        InterfaceBuilder::new("IIdleLoop")
+            .method("Register", |m| {
+                m.input("sink", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .method("Pump", |m| m.input("rounds", PType::I4))
+            .build()
+    })
+    .clone()
 }
 
 /// `ITheme`: the shared theme/resource service all idle transients are
@@ -68,49 +78,61 @@ pub fn iidle_loop() -> Arc<InterfaceDesc> {
 /// the pattern that makes classifier accuracy depend on stack-walk depth
 /// (Table 3).
 pub fn itheme() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("ITheme")
-        .method("SpawnTransient", |m| {
-            m.input("class", PType::Str)
-                .output("widget", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .method("AllocRecord", |m| {
-            m.input("class", PType::Str)
-                .output("widget", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .method("CommitRecord", |m| {
-            m.input("class", PType::Str)
-                .output("widget", PType::Interface(Iid::from_name("IWidget")))
-        })
-        .build()
+    static DESC: OnceLock<Arc<InterfaceDesc>> = OnceLock::new();
+    DESC.get_or_init(|| {
+        InterfaceBuilder::new("ITheme")
+            .method("SpawnTransient", |m| {
+                m.input("class", PType::Str)
+                    .output("widget", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .method("AllocRecord", |m| {
+                m.input("class", PType::Str)
+                    .output("widget", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .method("CommitRecord", |m| {
+                m.input("class", PType::Str)
+                    .output("widget", PType::Interface(Iid::from_name("IWidget")))
+            })
+            .build()
+    })
+    .clone()
 }
 
 /// `IWindowSite`: parent←child GUI notification. **Non-remotable** — the
 /// window handle is a raw pointer, exactly the idiom that makes most of
 /// Octarine's and PhotoDraw's GUI interfaces non-distributable.
 pub fn iwindow_site() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IWindowSite")
-        .method("Notify", |m| {
-            m.input("hwnd", PType::Opaque).input("code", PType::I4)
-        })
-        .build()
+    static DESC: OnceLock<Arc<InterfaceDesc>> = OnceLock::new();
+    DESC.get_or_init(|| {
+        InterfaceBuilder::new("IWindowSite")
+            .method("Notify", |m| {
+                m.input("hwnd", PType::Opaque).input("code", PType::I4)
+            })
+            .build()
+    })
+    .clone()
 }
 
 /// `IStore`: the data-file interface (page reads and named streams). The
 /// file content is fixed at registration, so every method is a state read.
 pub fn istore() -> Arc<InterfaceDesc> {
-    InterfaceBuilder::new("IStore")
-        .method("ReadPage", |m| {
-            m.input("page", PType::I4)
-                .output("data", PType::Blob)
-                .reads_state()
-        })
-        .method("ReadStream", |m| {
-            m.input("name", PType::Str)
-                .output("data", PType::Blob)
-                .reads_state()
-        })
-        .method("PageCount", |m| m.output("pages", PType::I4).reads_state())
-        .build()
+    static DESC: OnceLock<Arc<InterfaceDesc>> = OnceLock::new();
+    DESC.get_or_init(|| {
+        InterfaceBuilder::new("IStore")
+            .method("ReadPage", |m| {
+                m.input("page", PType::I4)
+                    .output("data", PType::Blob)
+                    .reads_state()
+            })
+            .method("ReadStream", |m| {
+                m.input("name", PType::Str)
+                    .output("data", PType::Blob)
+                    .reads_state()
+            })
+            .method("PageCount", |m| m.output("pages", PType::I4).reads_state())
+            .build()
+    })
+    .clone()
 }
 
 /// Hashes a component's mutable state into a COIGN045 fingerprint.

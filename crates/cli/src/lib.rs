@@ -34,8 +34,8 @@ use coign::recovery::RecoveryConfig;
 use coign::report;
 use coign::rewriter;
 use coign::runtime::{
-    check_constraints, choose_distribution, derive_constraints, execute_distributed,
-    profile_scenarios_crosschecked, run_distributed_recovering, RunOptions,
+    choose_distribution, derive_constraints, execute_distributed, profile_scenarios_crosschecked,
+    run_distributed_recovering, vetted_constraints, RunOptions,
 };
 use coign::sweep::{sweep, SweepGrid, SweepMode};
 use coign_apps::scenarios::app_by_name;
@@ -665,7 +665,9 @@ pub fn cmd_run(
     // Fast-fail: refuse to execute a distribution whose constraint set no
     // longer holds (e.g. the record was realized against different
     // metadata). The error carries the `coign check` diagnostic report.
-    check_constraints(app.as_ref(), &record.profile)?;
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    vetted_constraints(app.as_ref(), &record.profile, rt.registry())?;
     let classifier = Arc::new(InstanceClassifier::decode(&record.classifier)?);
     let network = network_by_name(network_name)?;
     let plan = match &faults.plan_path {
@@ -964,7 +966,9 @@ pub fn cmd_chaos(
         .distribution
         .ok_or_else(|| ComError::App("record carries no distribution".to_string()))?;
     let app = app_for_image(&image)?;
-    check_constraints(app.as_ref(), &record.profile)?;
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    vetted_constraints(app.as_ref(), &record.profile, rt.registry())?;
     let classifier = Arc::new(InstanceClassifier::decode(&record.classifier)?);
     let network = network_by_name(network_name)?;
     // A fault-free probe run fixes the horizon the fault windows are drawn
@@ -994,6 +998,10 @@ pub fn cmd_chaos(
     };
 
     let jobs = opts.jobs.max(1).min(opts.trials.max(1));
+    // Each trial traces into a child of the command's tracer; the children
+    // are merged in trial order below, so the trace does not depend on how
+    // workers interleave.
+    let children: Vec<Option<Obs>> = (0..opts.trials).map(|_| obs.map(Obs::child)).collect();
     let slots: Vec<std::sync::Mutex<Option<ComResult<ChaosTrial>>>> = (0..opts.trials)
         .map(|_| std::sync::Mutex::new(None))
         .collect();
@@ -1016,7 +1024,7 @@ pub fn cmd_chaos(
                     horizon_us,
                     i,
                     replicas.as_ref(),
-                    obs,
+                    children[i].as_ref(),
                 );
                 *slots[i].lock().expect("chaos slot") = Some(trial);
             });
@@ -1041,6 +1049,9 @@ pub fn cmd_chaos(
             .into_inner()
             .expect("chaos slot lock")
             .expect("chaos worker exited without reporting a result")?;
+        if let (Some(o), Some(child)) = (obs, &children[i]) {
+            o.tracer.merge_from(&child.tracer);
+        }
         out.push_str(&trial.line);
         out.push('\n');
         match trial.outcome {
@@ -1645,7 +1656,7 @@ pub fn cmd_dot(path: &Path, out: &Path) -> ComResult<String> {
     app.register(&rt);
     let names = report::class_names(&rt);
     let network = NetworkProfile::measure(&NetworkModel::ethernet_10baset(), PROFILE_SAMPLES, SEED);
-    let constraints = derive_constraints(app.as_ref(), &record.profile);
+    let constraints = derive_constraints(app.as_ref(), &record.profile, rt.registry());
     // Replication-legality overlay: double-circle the replicable classes,
     // shade the mutable-shared ones, and label read-only edges. Shading
     // mirrors COIGN043's gating — only classes with annotation evidence,

@@ -20,8 +20,8 @@
 //! ```
 
 use coign_cli::{
-    cmd_analyze, cmd_gen, cmd_instrument, cmd_profile, cmd_run, cmd_serve, cmd_sweep, RunFaults,
-    ServeCliOptions,
+    cmd_analyze, cmd_chaos, cmd_gen, cmd_instrument, cmd_profile, cmd_run, cmd_serve, cmd_sweep,
+    ChaosOptions, RunFaults, ServeCliOptions,
 };
 use coign_gen::GenSize;
 use coign_obs::{validate_chrome_trace, Obs};
@@ -120,6 +120,33 @@ fn parallel_profile_trace_is_byte_identical_across_runs() {
     for scenario in scenarios {
         assert!(summary.has_span(&format!("scenario:{scenario}")));
     }
+}
+
+#[test]
+fn chaos_trace_is_byte_identical_across_runs_and_jobs() {
+    // Trials run on worker threads, each tracing into a child tracer that
+    // merges back in trial order: neither the run nor the worker count may
+    // show in the export.
+    let path = realized_image("chaos");
+    let trace = |jobs: usize| {
+        let obs = fresh_obs();
+        let opts = ChaosOptions {
+            seed: 7,
+            trials: 5,
+            jobs,
+            ..ChaosOptions::default()
+        };
+        cmd_chaos(&path, "o_oldtb3", "ethernet", &opts, Some(&obs)).unwrap();
+        obs.tracer.export_chrome_json()
+    };
+    let first = trace(4);
+    assert_eq!(
+        first,
+        trace(4),
+        "two --jobs 4 chaos runs exported different traces"
+    );
+    assert_eq!(first, trace(1), "the chaos trace depends on --jobs");
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]

@@ -128,7 +128,7 @@ pub fn check_effects(registry: &ClassRegistry, sink: &mut DiagnosticSink) -> Eff
     }
 
     for class in &classes {
-        let mut mutating: Vec<String> = Vec::new();
+        let mut mutating: Vec<(&str, &str)> = Vec::new();
         let mut read_only_declared = false;
         let mut forced_by_inconsistency = false;
         for iface in &class.interfaces {
@@ -137,7 +137,7 @@ pub fn check_effects(registry: &ClassRegistry, sink: &mut DiagnosticSink) -> Eff
             }
             for method in &iface.methods {
                 if method.effect == StateEffect::MutatesState {
-                    mutating.push(format!("{}::{}", iface.name, method.name));
+                    mutating.push((&iface.name, &method.name));
                 } else {
                     read_only_declared = true;
                 }
@@ -164,7 +164,11 @@ pub fn check_effects(registry: &ClassRegistry, sink: &mut DiagnosticSink) -> Eff
                     } else {
                         format!("{} methods", mutating.len())
                     },
-                    mutating.join(", ")
+                    mutating
+                        .iter()
+                        .map(|(iface, method)| format!("{iface}::{method}"))
+                        .collect::<Vec<_>>()
+                        .join(", ")
                 ),
                 Some(
                     "replication requires every method to be annotated pure or \

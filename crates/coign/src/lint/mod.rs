@@ -21,7 +21,7 @@
 //!    `shared ∧ mutable` is non-replicable (COIGN043), immutable classes
 //!    are proven replicable (COIGN044).
 //!
-//! The same stages guard the pipeline: [`crate::runtime::check_constraints`]
+//! The same stages guard the pipeline: [`crate::runtime::vetted_constraints`]
 //! runs stage 2 before `analyze` ever builds a flow network, so an
 //! unsatisfiable constraint set fails fast with the **same rendered
 //! diagnostics** `coign check` prints — min-cut is never invoked on a
@@ -120,7 +120,7 @@ pub fn check_app_image(image: &AppImage, app: &dyn Application) -> DiagnosticSin
         .map(|record| record.profile)
         .unwrap_or_default();
     let named = app.explicit_constraints();
-    let constraints = crate::runtime::derive_constraints(app, &profile);
+    let constraints = crate::runtime::derive_constraints(app, &profile, rt.registry());
     check_constraint_stage(&profile, rt.registry(), &named, &constraints, &mut sink);
 
     image_lints::check_image(image, rt.registry(), &mut sink);

@@ -34,10 +34,14 @@
 
 use crate::lint::diag::{DiagnosticSink, Severity};
 use crate::lint::effects::EffectAnalysis;
-use coign_com::{ClassRegistry, Iid};
-use std::collections::{BTreeMap, BTreeSet};
+use coign_com::{ClassDesc, ClassRegistry, Iid};
+use std::sync::Arc;
 
 /// Replication-legality verdicts for every registered class.
+///
+/// Holder sets are kept over a dense index space: classes in name order,
+/// class `i` is holder token `i` and its `clients of` pseudo-holder token
+/// `n + i`. Label strings are built only when a caller asks for them.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationReport {
     /// Classes proven replicable (immutable after construction), name-sorted.
@@ -45,9 +49,15 @@ pub struct ReplicationReport {
     /// Classes that are mutable *and* reachable from multiple holders —
     /// never replicable, name-sorted.
     pub mutable_shared: Vec<String>,
-    /// Class name → name-sorted holder labels (declaring classes or
-    /// `clients of X` pseudo-holders).
-    pub holders: BTreeMap<String, BTreeSet<String>>,
+    /// Every registered class, name-sorted: the index space.
+    classes: Vec<Arc<ClassDesc>>,
+    /// `u64` words per holder set (`2n` tokens).
+    words: usize,
+    /// Holder sets, `words` words per class in index order.
+    holders: Vec<u64>,
+    /// Aliasing events `(target, via, emits)` over class indices, sorted
+    /// and deduplicated.
+    events: Vec<(usize, usize, bool)>,
 }
 
 impl ReplicationReport {
@@ -58,7 +68,62 @@ impl ReplicationReport {
 
     /// True when at least two distinct holders can reach the class.
     pub fn is_shared(&self, class: &str) -> bool {
-        self.holders.get(class).is_some_and(|h| h.len() >= 2)
+        self.index_of(class)
+            .is_some_and(|i| self.holder_count(i) >= 2)
+    }
+
+    /// Name-sorted holder labels of a class: declaring classes or
+    /// `clients of X` pseudo-holders. Empty for an unknown class.
+    pub fn holders(&self, class: &str) -> Vec<String> {
+        self.index_of(class)
+            .map_or_else(Vec::new, |i| self.holder_labels(i))
+    }
+
+    /// The aliasing events the holder sets were computed from, as
+    /// `(target, via, emits)` class names: `via` declares an
+    /// interface-pointer parameter reaching `target`, and `emits` when the
+    /// parameter travels in the reply (`[out]`/`[in,out]`).
+    pub fn aliasing_events(&self) -> impl Iterator<Item = (&str, &str, bool)> + '_ {
+        self.events.iter().map(|&(target, via, emits)| {
+            (
+                self.classes[target].name.as_str(),
+                self.classes[via].name.as_str(),
+                emits,
+            )
+        })
+    }
+
+    fn index_of(&self, class: &str) -> Option<usize> {
+        self.classes
+            .binary_search_by(|c| c.name.as_str().cmp(class))
+            .ok()
+    }
+
+    fn row(&self, class: usize) -> &[u64] {
+        &self.holders[class * self.words..][..self.words]
+    }
+
+    fn holder_count(&self, class: usize) -> u32 {
+        self.row(class).iter().map(|w| w.count_ones()).sum()
+    }
+
+    fn holder_labels(&self, class: usize) -> Vec<String> {
+        let n = self.classes.len();
+        let mut labels: Vec<String> = Vec::new();
+        for (w, &word) in self.row(class).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let token = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                labels.push(if token < n {
+                    self.classes[token].name.clone()
+                } else {
+                    format!("clients of {}", self.classes[token - n].name)
+                });
+            }
+        }
+        labels.sort();
+        labels
     }
 }
 
@@ -94,6 +159,9 @@ impl AliasForest {
 
 /// Runs the instance-sharing stage and folds it with the stage 4 verdicts
 /// into the final [`ReplicationReport`].
+///
+/// Cost: each fixpoint round ORs `⌈2n/64⌉` words per emitting event, so
+/// octarine's 67 classes take three words per event.
 pub fn check_sharing(
     registry: &ClassRegistry,
     effects: &EffectAnalysis,
@@ -101,6 +169,7 @@ pub fn check_sharing(
 ) -> ReplicationReport {
     let mut classes = registry.all();
     classes.sort_by(|a, b| a.name.cmp(&b.name));
+    let n = classes.len();
 
     // Deterministic index space over every declared IID.
     let mut iids: Vec<Iid> = classes
@@ -109,90 +178,84 @@ pub fn check_sharing(
         .collect();
     iids.sort();
     iids.dedup();
-    let index_of: BTreeMap<Iid, usize> = iids.iter().enumerate().map(|(i, d)| (*d, i)).collect();
+    let index_of = |iid: Iid| iids.binary_search(&iid).ok();
 
     // Facets of one class alias each other.
     let mut forest = AliasForest::new(iids.len());
     for class in &classes {
-        let declared: Vec<usize> = class
-            .interfaces
-            .iter()
-            .filter_map(|i| index_of.get(&i.iid).copied())
-            .collect();
-        for pair in declared.windows(2) {
-            forest.union(pair[0], pair[1]);
-        }
-    }
-
-    // Alias-group root → classes declaring any IID in the group.
-    let mut group_classes: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
-    for class in &classes {
-        for iface in &class.interfaces {
-            if let Some(&idx) = index_of.get(&iface.iid) {
-                let root = forest.find(idx);
-                group_classes
-                    .entry(root)
-                    .or_default()
-                    .insert(class.name.clone());
+        let mut declared = class.interfaces.iter().filter_map(|i| index_of(i.iid));
+        if let Some(first) = declared.next() {
+            for other in declared {
+                forest.union(first, other);
             }
         }
     }
 
-    // Aliasing events: class A ──param──> target classes, tagged with
-    // whether A emits the reference (an `[out]`/`[in,out]` parameter).
-    let mut links: BTreeMap<String, BTreeSet<(String, bool)>> = BTreeMap::new();
-    for class in &classes {
+    // Alias-group root → classes declaring any IID in the group, in index
+    // (name) order.
+    let mut group_classes: Vec<Vec<usize>> = vec![Vec::new(); iids.len()];
+    for (ci, class) in classes.iter().enumerate() {
+        for iface in &class.interfaces {
+            if let Some(idx) = index_of(iface.iid) {
+                let members = &mut group_classes[forest.find(idx)];
+                if members.last() != Some(&ci) {
+                    members.push(ci);
+                }
+            }
+        }
+    }
+
+    // Aliasing events: class `via` ──param──> target classes, tagged with
+    // whether `via` emits the reference (an `[out]`/`[in,out]` parameter).
+    let mut events: Vec<(usize, usize, bool)> = Vec::new();
+    let mut referenced = Vec::new();
+    for (via, class) in classes.iter().enumerate() {
         for iface in &class.interfaces {
             for method in &iface.methods {
                 for param in &method.params {
-                    let mut referenced = Vec::new();
+                    referenced.clear();
                     param.ty.collect_interface_iids(&mut referenced);
-                    referenced.sort();
-                    referenced.dedup();
-                    for iid in referenced {
-                        let Some(&idx) = index_of.get(&iid) else {
+                    for &iid in &referenced {
+                        let Some(idx) = index_of(iid) else {
                             continue; // undeclared target: stage 1's COIGN011
                         };
-                        let root = forest.find(idx);
-                        for target in &group_classes[&root] {
-                            if target == &class.name {
-                                continue; // self-references add no new holder
+                        for &target in &group_classes[forest.find(idx)] {
+                            // Self-references add no new holder.
+                            if target != via {
+                                events.push((target, via, param.dir.in_reply()));
                             }
-                            links
-                                .entry(target.clone())
-                                .or_default()
-                                .insert((class.name.clone(), param.dir.in_reply()));
                         }
                     }
                 }
             }
         }
     }
+    events.sort_unstable();
+    events.dedup();
 
     // Holder fixpoint: both sides of every aliasing event hold the target;
     // whoever holds an emitter can extract what it emits.
-    let mut holders: BTreeMap<String, BTreeSet<String>> = classes
-        .iter()
-        .map(|c| (c.name.clone(), BTreeSet::new()))
-        .collect();
+    let words = (2 * n).div_ceil(64);
+    let mut holders = vec![0u64; n * words];
+    for &(target, via, _) in &events {
+        for token in [via, n + via] {
+            holders[target * words + token / 64] |= 1 << (token % 64);
+        }
+    }
     loop {
         let mut changed = false;
-        for (target, events) in &links {
-            let mut add: BTreeSet<String> = BTreeSet::new();
-            for (via, emits) in events {
-                add.insert(via.clone());
-                add.insert(format!("clients of {via}"));
-                if *emits {
-                    // Transitive escape: holders of the emitter reach us.
-                    if let Some(upstream) = holders.get(via) {
-                        add.extend(upstream.iter().cloned());
-                    }
+        for &(target, via, emits) in &events {
+            if !emits {
+                continue;
+            }
+            // Transitive escape: holders of the emitter reach the target.
+            for w in 0..words {
+                let add = holders[via * words + w] & !holders[target * words + w];
+                if add != 0 {
+                    holders[target * words + w] |= add;
+                    changed = true;
                 }
             }
-            let set = holders.entry(target.clone()).or_default();
-            let before = set.len();
-            set.extend(add);
-            changed |= set.len() != before;
         }
         if !changed {
             break;
@@ -200,16 +263,20 @@ pub fn check_sharing(
     }
 
     let mut report = ReplicationReport {
+        classes,
+        words,
         holders,
+        events,
         ..ReplicationReport::default()
     };
-    for class in &classes {
+    let (mut replicable, mut mutable_shared) = (Vec::new(), Vec::new());
+    for (i, class) in report.classes.iter().enumerate() {
         let name = &class.name;
-        let shared = report.holders.get(name).is_some_and(|h| h.len() >= 2);
+        let shared = report.holder_count(i) >= 2;
         if !effects.is_mutable(name) {
-            report.replicable.push(name.clone());
+            replicable.push(name.clone());
             let sharing = if shared {
-                let list: Vec<&str> = report.holders[name].iter().map(String::as_str).collect();
+                let list = report.holder_labels(i);
                 format!("shared by {} holders ({})", list.len(), list.join(", "))
             } else {
                 "reached from a single holder".to_string()
@@ -225,9 +292,8 @@ pub fn check_sharing(
                 None,
             );
         } else if shared {
-            report.mutable_shared.push(name.clone());
+            mutable_shared.push(name.clone());
             if effects.is_annotated(name) {
-                let list: Vec<&str> = report.holders[name].iter().map(String::as_str).collect();
                 sink.report(
                     "COIGN043",
                     Severity::Warn,
@@ -236,7 +302,7 @@ pub fn check_sharing(
                         "class `{name}` may mutate state and is reachable from multiple \
                          holders ({}): replicating it would fork state observable \
                          through the aliases",
-                        list.join(", ")
+                        report.holder_labels(i).join(", ")
                     ),
                     Some(
                         "annotate the remaining mutating methods (if they are honest \
@@ -247,6 +313,8 @@ pub fn check_sharing(
             }
         }
     }
+    report.replicable = replicable;
+    report.mutable_shared = mutable_shared;
     report
 }
 
@@ -407,9 +475,9 @@ mod tests {
             Arc::new(Nop)
         });
         let (report, sink) = run(&reg);
-        let holders = &report.holders["Cache"];
-        assert!(holders.contains("Manager"));
-        assert!(holders.contains("clients of Manager"));
+        let holders = report.holders("Cache");
+        assert!(holders.contains(&"Manager".to_string()));
+        assert!(holders.contains(&"clients of Manager".to_string()));
         assert!(report.is_shared("Cache"));
         assert!(sink
             .diagnostics()

@@ -1015,11 +1015,8 @@ mod tests {
                 .register(name, vec![], ApiImports::NONE, |_, _| Arc::new(Nop));
         }
         let profile = shared_dictionary_profile();
-        let report = crate::lint::ReplicationReport {
-            replicable: vec!["Dict".to_string()],
-            mutable_shared: vec![],
-            holders: Default::default(),
-        };
+        let mut report = crate::lint::ReplicationReport::default();
+        report.replicable = vec!["Dict".to_string()];
         let plan = ReplicationPlan::from_report(&report, &profile, rt.registry());
         assert_eq!(plan.replicable, vec![c(2)]);
         assert!(plan.allows(c(2)));

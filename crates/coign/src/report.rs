@@ -577,11 +577,9 @@ mod tests {
         let mut names = HashMap::new();
         names.insert(Clsid::from_name("A"), "A".to_string());
         names.insert(Clsid::from_name("B"), "B".to_string());
-        let replication = ReplicationReport {
-            replicable: vec!["B".to_string()],
-            mutable_shared: vec!["A".to_string()],
-            holders: Default::default(),
-        };
+        let mut replication = ReplicationReport::default();
+        replication.replicable = vec!["B".to_string()];
+        replication.mutable_shared = vec!["A".to_string()];
         // Everything the profile carries between 1 and 2 is declared
         // read-only; the 1↔3 traffic is unannotated and stays plain.
         let chatty = Iid::from_name("IChatty");

@@ -448,16 +448,7 @@ pub fn profile_scenarios_crosschecked(
             );
         }
     }
-    let children: Vec<Option<Obs>> = scenarios
-        .iter()
-        .map(|_| {
-            obs.map(|o| Obs {
-                tracer: Arc::new(o.tracer.child()),
-                registry: o.registry.clone(),
-                recorder: o.recorder.clone(),
-            })
-        })
-        .collect();
+    let children: Vec<Option<Obs>> = scenarios.iter().map(|_| obs.map(Obs::child)).collect();
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Vec<parking_lot::Mutex<Option<ComResult<ProfileRun>>>> = scenarios
         .iter()
@@ -500,14 +491,17 @@ pub fn profile_scenarios_crosschecked(
     Ok((merged, violations.into_iter().collect()))
 }
 
-/// Derives the full constraint set for an application: static API analysis,
-/// colocations implied by non-remotable interface metadata, plus the
-/// programmer's explicit constraints.
-pub fn derive_constraints(app: &dyn Application, profile: &IccProfile) -> Vec<Constraint> {
-    let rt = ComRuntime::single_machine();
-    app.register(&rt);
-    let mut constraints = derive_static_constraints(profile, rt.registry());
-    constraints.extend(static_non_remotable_colocations(profile, rt.registry()));
+/// Derives the full constraint set for an application whose classes are
+/// registered in `registry`: static API analysis, colocations implied by
+/// non-remotable interface metadata, plus the programmer's explicit
+/// constraints. The set is not vetted; [`vetted_constraints`] is.
+pub fn derive_constraints(
+    app: &dyn Application,
+    profile: &IccProfile,
+    registry: &ClassRegistry,
+) -> Vec<Constraint> {
+    let mut constraints = derive_static_constraints(profile, registry);
+    constraints.extend(static_non_remotable_colocations(profile, registry));
     constraints.extend(resolve_named_constraints(
         profile,
         &app.explicit_constraints(),
@@ -549,30 +543,33 @@ fn static_non_remotable_colocations(
         .collect()
 }
 
-/// Fast-fail guard shared by `coign check` and the pipeline: resolves the
-/// application's full constraint set and proves it satisfiable before any
-/// analysis runs. On failure the [`ComError::App`] detail carries the same
-/// rendered `COIGN0xx` diagnostics `coign check` prints.
-pub fn check_constraints(app: &dyn Application, profile: &IccProfile) -> ComResult<()> {
-    let rt = ComRuntime::single_machine();
-    app.register(&rt);
-    let named = app.explicit_constraints();
-    let constraints = derive_constraints(app, profile);
+/// Fast-fail guard of the pipeline: derives the application's full
+/// constraint set over `registry` once, proves it satisfiable (the stage 2
+/// `coign check` runs) and returns it. On failure the [`ComError::App`]
+/// detail carries the same rendered `COIGN0xx` diagnostics `coign check`
+/// prints.
+pub fn vetted_constraints(
+    app: &dyn Application,
+    profile: &IccProfile,
+    registry: &ClassRegistry,
+) -> ComResult<Vec<Constraint>> {
+    let constraints = derive_constraints(app, profile, registry);
     let mut sink = crate::lint::DiagnosticSink::new();
-    crate::lint::check_constraint_stage(profile, rt.registry(), &named, &constraints, &mut sink);
+    let named = app.explicit_constraints();
+    crate::lint::check_constraint_stage(profile, registry, &named, &constraints, &mut sink);
     if sink.has_errors() {
         return Err(ComError::App(format!(
             "location constraints rejected by static analysis\n{}",
             sink.render_human()
         )));
     }
-    Ok(())
+    Ok(constraints)
 }
 
 /// The analysis step: chooses the minimum-communication-time distribution
 /// for the given network using the lift-to-front algorithm.
 ///
-/// The constraint set is vetted by [`check_constraints`] first, so an
+/// The constraint set is vetted by [`vetted_constraints`] first, so an
 /// unsatisfiable or unresolvable set fails fast with a diagnostic report —
 /// the min-cut solver is never invoked on a contradiction.
 pub fn choose_distribution(
@@ -580,8 +577,9 @@ pub fn choose_distribution(
     profile: &IccProfile,
     network: &NetworkProfile,
 ) -> ComResult<Distribution> {
-    check_constraints(app, profile)?;
-    let constraints = derive_constraints(app, profile);
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    let constraints = vetted_constraints(app, profile, rt.registry())?;
     analyze(
         profile,
         network,
@@ -715,7 +713,7 @@ pub fn execute_distributed(
             let graph = IccGraph::build(profile, &NetworkProfile::exact(transport.network()));
             let coordinator = RecoveryCoordinator::new(
                 &graph,
-                &derive_constraints(app, profile),
+                &derive_constraints(app, profile, rt.registry()),
                 rte.factory().expect("distributed-mode RTE has a factory"),
                 classifier.clone(),
                 health,

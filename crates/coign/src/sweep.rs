@@ -32,8 +32,8 @@ use crate::classifier::ClassificationId;
 use crate::constraints::Constraint;
 use crate::icc::IccGraph;
 use crate::profile::IccProfile;
-use crate::runtime::{check_constraints, derive_constraints};
-use coign_com::{ComError, ComResult, MachineId};
+use crate::runtime::vetted_constraints;
+use coign_com::{ComError, ComResult, ComRuntime, MachineId};
 use coign_dcom::{NetworkModel, NetworkProfile};
 use coign_flow::{min_cut, min_cut_warm, MaxFlowAlgorithm, INFINITE};
 
@@ -150,8 +150,9 @@ pub fn sweep(
     grid: &SweepGrid,
     mode: SweepMode,
 ) -> ComResult<SweepResult> {
-    check_constraints(app, profile)?;
-    let constraints = derive_constraints(app, profile);
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    let constraints = vetted_constraints(app, profile, rt.registry())?;
     sweep_profile(profile, &constraints, grid, mode)
 }
 

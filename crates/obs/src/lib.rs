@@ -90,6 +90,18 @@ impl Obs {
     pub fn is_enabled(&self) -> bool {
         self.tracer.is_enabled()
     }
+
+    /// A bundle for one parallel worker: a [`Tracer::child`] that buffers
+    /// the worker's events until the caller merges them in a fixed order,
+    /// sharing this bundle's registry and recorder (counters commute, so
+    /// worker order cannot perturb them).
+    pub fn child(&self) -> Obs {
+        Obs {
+            tracer: Arc::new(self.tracer.child()),
+            registry: self.registry.clone(),
+            recorder: self.recorder.clone(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -23,6 +23,12 @@ echo "==> cargo build perfbench (the benchmark's own workspace)"
 # it here to catch an API break before the benchmark runs.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> cargo test perfbench (the benchmark's own output checks)"
+# The benchmark's tests run its workloads on both seeds and check their
+# outputs and exact repeats, so a change that breaks a benchmark check
+# fails here instead of in the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace (empty TMPDIR)"
 # Each run gets an empty TMPDIR, so a test that passes only on state some
 # other process left behind (such as a profiled shared `gen:` image) fails

@@ -8,7 +8,7 @@ use coign::application::Application;
 use coign::classifier::{ClassificationId, ClassifierKind, InstanceClassifier};
 use coign::constraints::NamedConstraint;
 use coign::profile::IccProfile;
-use coign::runtime::{check_constraints, choose_distribution, derive_constraints};
+use coign::runtime::{choose_distribution, derive_constraints, vetted_constraints};
 use coign::{analyze, lint, rewriter};
 use coign_com::idl::InterfaceBuilder;
 use coign_com::registry::ApiImports;
@@ -113,7 +113,9 @@ fn analyze_itself_rejects_contradictions_before_cutting() {
     // own guard) never reaches the solver.
     let app = ConflictedApp;
     let profile = conflicted_profile();
-    let constraints = derive_constraints(&app, &profile);
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    let constraints = derive_constraints(&app, &profile, rt.registry());
     let before = min_cut_invocations();
     let err = analyze(
         &profile,
@@ -146,7 +148,10 @@ fn check_and_pipeline_report_identical_diagnostics() {
     assert_eq!(conflicts.len(), 1);
 
     // Pipeline side: the same constraint set fails `cmd_analyze`'s guard.
-    let ComError::App(detail) = check_constraints(&app, &profile).unwrap_err() else {
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    let ComError::App(detail) = vetted_constraints(&app, &profile, rt.registry()).unwrap_err()
+    else {
         panic!("expected an application error");
     };
     for diagnostic in conflicts {
@@ -236,7 +241,9 @@ fn static_and_dynamic_non_remotable_paths_agree() {
     let mut static_profile = base_profile();
     static_profile.record_message(c(SHELL), c(WORKER), Iid::from_name("ISharedBuffer"), 0, 64);
     assert!(static_profile.non_remotable.is_empty());
-    let constraints = derive_constraints(&app, &static_profile);
+    let rt = ComRuntime::single_machine();
+    app.register(&rt);
+    let constraints = derive_constraints(&app, &static_profile, rt.registry());
     assert!(
         constraints
             .iter()
@@ -274,4 +281,76 @@ fn check_reports_all_three_stage_families_without_profiling() {
     assert!(!sink.has_errors(), "{}", sink.render_human());
     // And the machine-readable form carries the same verdict.
     assert!(sink.render_json().starts_with("{\"errors\":0,"));
+}
+
+/// Stage 5's holder sets are closed under its two rules and hold nothing
+/// the rules do not derive, on the three suite applications and on 32
+/// generated ones. For every aliasing event `(target, via, emits)`:
+/// `holders(target) ⊇ {via, clients of via}`, and when `via` emits the
+/// reference, `holders(target) ⊇ holders(via)`.
+#[test]
+fn holder_sets_are_closed_under_the_stage_5_rules() {
+    use coign_gen::{GenSize, GenSpec, GeneratedApp};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let mut apps: Vec<(String, Arc<dyn Application>)> = ["octarine", "photodraw", "benefits"]
+        .into_iter()
+        .map(|name| {
+            let app = coign_apps::scenarios::app_by_name(name).expect("suite application");
+            (name.to_string(), app)
+        })
+        .collect();
+    for seed in 0..32 {
+        let app = GeneratedApp::new(GenSpec::new(seed, GenSize::Small));
+        apps.push((format!("gen:{seed}"), Arc::new(app)));
+    }
+    for (name, app) in apps {
+        let rt = ComRuntime::single_machine();
+        app.register(&rt);
+        let mut sink = lint::DiagnosticSink::new();
+        let report = lint::analyze_replication(rt.registry(), &mut sink);
+        let holders: BTreeMap<String, BTreeSet<String>> = rt
+            .registry()
+            .all()
+            .into_iter()
+            .map(|class| {
+                let held = report.holders(&class.name).into_iter().collect();
+                (class.name.clone(), held)
+            })
+            .collect();
+        let events: Vec<(&str, &str, bool)> = report.aliasing_events().collect();
+        assert!(!events.is_empty(), "{name}: no aliasing events");
+        for &(target, via, emits) in &events {
+            let held = &holders[target];
+            for label in [via.to_string(), format!("clients of {via}")] {
+                assert!(
+                    held.contains(&label),
+                    "{name}: {target} misses direct holder {label}"
+                );
+            }
+            if emits {
+                let missing: Vec<_> = holders[via].difference(held).collect();
+                assert!(
+                    missing.is_empty(),
+                    "{name}: {target} misses {missing:?}, held through emitter {via}"
+                );
+            }
+        }
+        for (class, held) in &holders {
+            for label in held {
+                let explained = events
+                    .iter()
+                    .filter(|e| e.0 == class)
+                    .any(|&(_, via, emits)| {
+                        *label == via
+                            || *label == format!("clients of {via}")
+                            || (emits && holders[via].contains(label))
+                    });
+                assert!(
+                    explained,
+                    "{name}: no event gives {class} the holder {label}"
+                );
+            }
+        }
+    }
 }

@@ -139,7 +139,9 @@ fn algorithms_agree_on_real_application_graphs() {
     let app = app_by_name("benefits").unwrap();
     let classifier = Arc::new(InstanceClassifier::new(ClassifierKind::Ifcb));
     let run = profile_scenario(app.as_ref(), "b_vueone", &classifier).unwrap();
-    let constraints = derive_constraints(app.as_ref(), &run.profile);
+    let rt = coign_com::ComRuntime::single_machine();
+    app.register(&rt);
+    let constraints = derive_constraints(app.as_ref(), &run.profile, rt.registry());
     let net = network();
     let costs: Vec<f64> = MaxFlowAlgorithm::ALL
         .iter()
